@@ -54,7 +54,8 @@
 //!   small workloads (MT, STC, FW, BS) under Penny: every site
 //!   classified and answered, none sampled.
 //! * `campaign` — the Table-1 multi-bit EDC campaign matrix
-//!   (`--runs` per cell, default 100), shardable with `--shard I/N`.
+//!   (`--runs` per cell, default 100) in one process; it does not
+//!   shard, so `--shard` with it exits 2.
 //!
 //! Static-vulnerability subcommands (see `DESIGN.md` §15):
 //!
@@ -86,7 +87,7 @@ use penny_sim::GpuConfig;
 
 fn main() {
     let mut jobs: usize = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut shard = Shard::full();
+    let mut shard: Option<Shard> = None;
     let mut budget: u64 = 2000;
     let mut runs: u32 = 100;
     let mut bench_json_out = false;
@@ -110,7 +111,7 @@ fn main() {
         if let Some(v) = flag("--jobs") {
             jobs = v.parse().unwrap_or_else(|_| die("--jobs needs a positive integer"));
         } else if let Some(v) = flag("--shard") {
-            shard = Shard::parse(&v).unwrap_or_else(|e| die(&e.to_string()));
+            shard = Some(Shard::parse(&v).unwrap_or_else(|e| die(&e.to_string())));
         } else if let Some(v) = flag("--budget") {
             budget = v.parse().unwrap_or_else(|_| die("--budget needs a positive integer"));
         } else if let Some(v) = flag("--runs") {
@@ -172,6 +173,10 @@ fn main() {
     if budget == 0 {
         die("--budget needs a positive integer");
     }
+    if shard.is_some() && targets.iter().any(|t| t == "campaign") {
+        die("campaign runs in one process and takes no --shard");
+    }
+    let shard = shard.unwrap_or_else(Shard::full);
     penny_bench::set_jobs(jobs);
     let recorder = obs_jsonl.as_ref().map(|_| {
         let rec = Arc::new(MemRecorder::new());
@@ -260,7 +265,7 @@ fn main() {
                 });
             }
             "conformance-exhaustive" => conformance_exhaustive(shard, static_mode),
-            "campaign" => campaign_cmd(runs, shard),
+            "campaign" => campaign_cmd(runs),
             "vulnerability" => vulnerability_cmd(min_prune),
             "static-agreement" => static_agreement(budget),
             other => die(&format!("unknown target `{other}` (try `all`)")),
@@ -540,13 +545,10 @@ fn static_agreement(budget: u64) {
     println!("static-agreement: {checked} static claims cross-examined, 0 disagreements");
 }
 
-/// `campaign`: the Table-1 multi-bit matrix, one shard per invocation.
-fn campaign_cmd(runs: u32, shard: Shard) {
-    println!(
-        "== Multi-bit EDC campaign ({runs} runs/cell, shard {}/{}) ==",
-        shard.index, shard.count
-    );
-    let results = penny_bench::campaign::multibit_sweep_sharded(runs, shard);
+/// `campaign`: the Table-1 multi-bit matrix.
+fn campaign_cmd(runs: u32) {
+    println!("== Multi-bit EDC campaign ({runs} runs/cell) ==");
+    let results = penny_bench::multibit_sweep(runs);
     print!("{}", penny_bench::campaign::render_multibit(&results));
 }
 

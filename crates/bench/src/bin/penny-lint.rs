@@ -28,6 +28,7 @@
 use penny_analysis::{lint_kernel, Diagnostic, LintOptions, Severity};
 use penny_core::LaunchDims;
 use penny_ir::Kernel;
+use penny_obs::json::escape;
 
 struct Target {
     label: String,
@@ -157,28 +158,17 @@ fn parse_launch(s: &str) -> LaunchDims {
     LaunchDims { block: (dims[0], dims[1]), grid: (dims[2], dims[3]) }
 }
 
-/// One diagnostic as a JSON object (no external deps: the fields are
-/// simple enough to escape by hand).
+/// One diagnostic as a JSON object.
 fn to_json(target: &str, d: &Diagnostic) -> String {
-    let esc = |s: &str| -> String {
-        s.chars()
-            .flat_map(|c| match c {
-                '"' => "\\\"".chars().collect::<Vec<_>>(),
-                '\\' => "\\\\".chars().collect(),
-                '\n' => "\\n".chars().collect(),
-                c => vec![c],
-            })
-            .collect()
-    };
     format!(
         "{{\"target\":\"{}\",\"name\":\"{}\",\"severity\":\"{}\",\"kernel\":\"{}\",\"block\":\"{}\",\"loc\":\"{}\",\"inst\":\"{}\",\"message\":\"{}\"}}",
-        esc(target),
-        esc(d.name),
+        escape(target),
+        escape(d.name),
         d.severity,
-        esc(&d.kernel),
-        esc(&d.block),
+        escape(&d.kernel),
+        escape(&d.block),
         d.loc,
         d.inst,
-        esc(&d.message),
+        escape(&d.message),
     )
 }

@@ -21,8 +21,6 @@ use penny_sim::{FaultPlan, Gpu, GpuConfig, Injection, RfProtection};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::conformance::{MergeError, Shard};
-
 /// Outcome counts of one campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignResult {
@@ -43,22 +41,6 @@ pub struct CampaignResult {
 /// Runs a `k`-bit fault campaign over the matrix-transpose workload
 /// (bit-exact integer output) under the given EDC scheme.
 pub fn edc_campaign(scheme: Scheme, flips: u32, runs: u32, seed: u64) -> CampaignResult {
-    edc_campaign_sharded(scheme, flips, runs, seed, Shard::full())
-}
-
-/// One shard of a `k`-bit fault campaign: every shard draws the **full**
-/// RNG stream (so run `i` sees identical fault parameters regardless of
-/// the partition) but simulates only runs `i % shard.count ==
-/// shard.index`. The returned `runs` counts simulated runs only, so
-/// [`merge_campaigns`] over all shards reproduces the unsharded result
-/// exactly.
-pub fn edc_campaign_sharded(
-    scheme: Scheme,
-    flips: u32,
-    runs: u32,
-    seed: u64,
-    shard: Shard,
-) -> CampaignResult {
     let w = penny_workloads::by_abbr("MT").expect("MT workload");
     let kernel = w.kernel().expect("parse");
     let config = PennyConfig::penny().with_launch(w.dims);
@@ -71,12 +53,10 @@ pub fn edc_campaign_sharded(
     let timer = penny_obs::SpanTimer::start(rec.as_ref());
     let mut rng = StdRng::seed_from_u64(seed);
     let mut result =
-        CampaignResult { scheme, flips, runs: 0, benign: 0, recovered: 0, sdc: 0 };
+        CampaignResult { scheme, flips, runs, benign: 0, recovered: 0, sdc: 0 };
     for run in 0..runs {
         // One multi-bit fault: `flips` distinct bits of one register of
-        // one lane, at one trigger point. All draws happen for every
-        // run — even ones another shard owns — so the stream position
-        // (and therefore every run's parameters) is partition-invariant.
+        // one lane, at one trigger point.
         let lane = rng.gen_range(0..32);
         let reg = rng.gen_range(0..regs);
         let trigger = rng.gen_range(1..40);
@@ -90,10 +70,6 @@ pub fn edc_campaign_sharded(
         // draw total — previously a per-bit `block` was drawn and then
         // immediately overwritten, wasting `flips` draws per run).
         let block = rng.gen_range(0..w.dims.blocks());
-        if run as u64 % shard.count as u64 != shard.index as u64 {
-            continue;
-        }
-        result.runs += 1;
         let injections: Vec<Injection> = bits[..flips as usize]
             .iter()
             .map(|&bit| Injection {
@@ -166,56 +142,14 @@ pub fn edc_campaign_sharded(
     result
 }
 
-/// Merges per-shard campaign results into the unsharded result. The
-/// shared-RNG-stream contract makes the merged counts bit-identical to
-/// a [`Shard::full`] run with the same `(scheme, flips, runs, seed)`.
-///
-/// # Errors
-///
-/// Rejects an empty input ([`MergeError::Empty`]) and mismatched
-/// `(scheme, flips)` pairs ([`MergeError::CampaignMismatch`], naming
-/// the offending result's position).
-pub fn merge_campaigns(results: &[CampaignResult]) -> Result<CampaignResult, MergeError> {
-    let first = *results.first().ok_or(MergeError::Empty)?;
-    let mut merged = CampaignResult { runs: 0, benign: 0, recovered: 0, sdc: 0, ..first };
-    for (i, r) in results.iter().enumerate() {
-        if (r.scheme, r.flips) != (first.scheme, first.flips) {
-            return Err(MergeError::CampaignMismatch {
-                index: i as u32,
-                found: format!("{:?}x{}", r.scheme, r.flips),
-                expected: format!("{:?}x{}", first.scheme, first.flips),
-            });
-        }
-        merged.runs += r.runs;
-        merged.benign += r.benign;
-        merged.recovered += r.recovered;
-        merged.sdc += r.sdc;
-    }
-    Ok(merged)
-}
-
 /// The full Table-1-style sweep: each scheme against 1..=3-bit faults.
 pub fn multibit_sweep(runs: u32) -> Vec<CampaignResult> {
-    multibit_sweep_sharded(runs, Shard::full())
-}
-
-/// One shard of the Table-1-style sweep: every campaign in the matrix
-/// runs with the same seeds as the unsharded sweep, simulating only this
-/// shard's runs. Row-wise [`merge_campaigns`] over all shards equals
-/// [`multibit_sweep`].
-pub fn multibit_sweep_sharded(runs: u32, shard: Shard) -> Vec<CampaignResult> {
     let mut out = Vec::new();
     for (scheme, max_flips) in
         [(Scheme::Parity, 3), (Scheme::Hamming, 2), (Scheme::Secded, 3)]
     {
         for flips in 1..=max_flips {
-            out.push(edc_campaign_sharded(
-                scheme,
-                flips,
-                runs,
-                0x7E57 + flips as u64,
-                shard,
-            ));
+            out.push(edc_campaign(scheme, flips, runs, 0x7E57 + flips as u64));
         }
     }
     out
@@ -336,25 +270,5 @@ mod tests {
     fn secded_triple_bit_never_sdcs() {
         let r = edc_campaign(Scheme::Secded, 3, 30, 44);
         assert_eq!(r.sdc, 0, "{r:?}");
-    }
-
-    #[test]
-    fn sharded_campaigns_merge_to_the_unsharded_result() {
-        let full = edc_campaign(Scheme::Parity, 2, 24, 45);
-        for count in [2u32, 3] {
-            let shards: Vec<CampaignResult> = (0..count)
-                .map(|index| {
-                    edc_campaign_sharded(Scheme::Parity, 2, 24, 45, Shard { index, count })
-                })
-                .collect();
-            let merged = merge_campaigns(&shards).expect("merge");
-            assert_eq!(merged, full, "{count} shards diverge from the full run");
-        }
-        assert_eq!(merge_campaigns(&[]), Err(MergeError::Empty));
-        let other = edc_campaign(Scheme::Hamming, 1, 4, 1);
-        assert!(matches!(
-            merge_campaigns(&[full, other]),
-            Err(MergeError::CampaignMismatch { index: 1, .. })
-        ));
     }
 }

@@ -825,20 +825,11 @@ pub fn run_conformance(abbr: &str, scheme: SchemeId, budget: u64) -> Conformance
     run_conformance_sharded(abbr, scheme, budget, Shard::full())
 }
 
-/// [`run_conformance`] for a workload value that need not be in the
-/// registry. The workload's `abbr` must be `'static` (fuzz-generated
+/// [`run_conformance_static`] for a workload value that need not be in
+/// the registry — the entry point `penny-fuzz`'s static-agreement stage
+/// uses. The workload's `abbr` must be `'static` (fuzz-generated
 /// workloads leak their names, which is bounded by the iteration
 /// count).
-pub fn run_conformance_for(
-    workload: &Workload,
-    scheme: SchemeId,
-    budget: u64,
-) -> ConformanceReport {
-    run_conformance_static_for(workload, scheme, budget, StaticMode::Off)
-}
-
-/// [`run_conformance_for`] with an explicit [`StaticMode`] — the entry
-/// point `penny-fuzz`'s static-agreement stage uses.
 pub fn run_conformance_static_for(
     workload: &Workload,
     scheme: SchemeId,
@@ -853,22 +844,6 @@ pub fn run_conformance_static_for(
         Shard::full(),
         mode,
     )
-}
-
-/// [`check_site`] for a workload value that need not be in the
-/// registry.
-///
-/// # Errors
-///
-/// Returns the mismatch/simulator-error description when the site does
-/// not recover to the fault-free final memory.
-pub fn check_site_for(
-    workload: &Workload,
-    scheme: SchemeId,
-    inj: &Injection,
-) -> Result<(), String> {
-    let p = prepare_workload(workload.clone(), scheme, false);
-    run_site(&p, inj)
 }
 
 /// Runs one shard of the conformance harness: only sample positions
@@ -1161,8 +1136,8 @@ pub enum MergeError {
         /// Number of results actually supplied.
         got: u32,
     },
-    /// A result's identity — (workload, variant, space) for conformance
-    /// reports — disagrees with the first result's.
+    /// A result's identity — (workload, variant, space) — disagrees
+    /// with the first result's.
     ShapeMismatch {
         /// The offending result's shard index.
         index: u32,
@@ -1179,17 +1154,6 @@ pub enum MergeError {
         index: u32,
         /// The partition size.
         count: u32,
-    },
-    /// A campaign result's `(scheme, flips)` cell disagrees with the
-    /// first result's — results from different campaign cells cannot be
-    /// summed.
-    CampaignMismatch {
-        /// Position of the offending result in the input slice.
-        index: u32,
-        /// `{scheme}x{flips}` of the offending result.
-        found: String,
-        /// `{scheme}x{flips}` of the first result.
-        expected: String,
     },
 }
 
@@ -1208,9 +1172,6 @@ impl fmt::Display for MergeError {
             }
             MergeError::DuplicateShard { index, count } => {
                 write!(f, "duplicate shard {index}/{count}")
-            }
-            MergeError::CampaignMismatch { index, found, expected } => {
-                write!(f, "mismatched campaign shard {index}: {found} vs {expected}")
             }
         }
     }

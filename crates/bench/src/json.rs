@@ -1,12 +1,10 @@
-//! Hand-rolled JSON interchange for shard reports.
+//! JSON interchange for shard reports.
 //!
 //! `penny-herd` shards are separate processes: each writes its
 //! [`ConformanceReport`]s as JSON ([`reports_to_json`]) and the
 //! orchestrator reads them back ([`reports_from_json`]) before
-//! merging. The repo builds fully offline, so this is a small
-//! self-contained writer/parser pair — objects, arrays, strings and
-//! `u64` numbers are the only shapes a report needs — rather than a
-//! serde dependency.
+//! merging. The encoding goes through the workspace's one codec,
+//! [`penny_obs::json`]; this module only maps reports to and from it.
 //!
 //! Serialization is deterministic (fixed field order, no floats), and
 //! `from_json(to_json(r))` reproduces every verdict field
@@ -16,6 +14,7 @@
 
 use std::fmt::Write as _;
 
+use penny_obs::json::{self, escape, field, num_field, str_field, Json};
 use penny_sim::Injection;
 
 use crate::conformance::{
@@ -28,263 +27,6 @@ use crate::runner::SchemeId;
 /// incompatible field change so a herd never merges reports written by
 /// a different binary generation.
 pub const REPORT_FORMAT_VERSION: u64 = 1;
-
-/// A parsed JSON value — just the shapes shard reports use.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Json {
-    /// A string literal.
-    Str(String),
-    /// An unsigned integer (reports carry no floats or negatives).
-    Num(u64),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// The object fields, or an error naming `ctx`.
-    fn obj(&self, ctx: &str) -> Result<&[(String, Json)], String> {
-        match self {
-            Json::Obj(f) => Ok(f),
-            _ => Err(format!("{ctx}: expected an object")),
-        }
-    }
-
-    /// The array elements, or an error naming `ctx`.
-    fn arr(&self, ctx: &str) -> Result<&[Json], String> {
-        match self {
-            Json::Arr(v) => Ok(v),
-            _ => Err(format!("{ctx}: expected an array")),
-        }
-    }
-
-    /// The number, or an error naming `ctx`.
-    fn num(&self, ctx: &str) -> Result<u64, String> {
-        match self {
-            Json::Num(n) => Ok(*n),
-            _ => Err(format!("{ctx}: expected a number")),
-        }
-    }
-
-    /// The string, or an error naming `ctx`.
-    fn str(&self, ctx: &str) -> Result<&str, String> {
-        match self {
-            Json::Str(s) => Ok(s),
-            _ => Err(format!("{ctx}: expected a string")),
-        }
-    }
-}
-
-/// Looks up a required object field.
-fn field<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn num_field(fields: &[(String, Json)], key: &str) -> Result<u64, String> {
-    field(fields, key)?.num(key)
-}
-
-fn str_field<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a str, String> {
-    field(fields, key)?.str(key)
-}
-
-/// Parses one JSON document (trailing garbage rejected).
-///
-/// # Errors
-///
-/// Returns a position-labelled description of the first syntax error.
-pub fn parse(s: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing characters at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'0'..=b'9') => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse()
-            .map(Json::Num)
-            .map_err(|_| format!("number out of range at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or(format!("invalid \\u{code:04x} escape"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one whole UTF-8 scalar (the input is a
-                    // &str, so boundaries are trustworthy).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8")?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            self.skip_ws();
-            out.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(out));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(out));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            if out.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate key {key:?}"));
-            }
-            out.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(out));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
-/// Escapes a string for a JSON string literal (same escape set as
-/// `penny_obs`'s span serializer).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Serializes one report as a deterministic JSON object.
 pub fn report_to_json(r: &ConformanceReport) -> String {
@@ -500,7 +242,7 @@ fn report_from_value(v: &Json) -> Result<ConformanceReport, String> {
 /// structurally wrong report — the herd treats all of these as a failed
 /// shard attempt (retryable), never as mergeable data.
 pub fn reports_from_json(s: &str) -> Result<Vec<ConformanceReport>, String> {
-    let v = parse(s)?;
+    let v = json::parse(s)?;
     let f = v.obj("report file")?;
     let version = num_field(f, "v")?;
     if version != REPORT_FORMAT_VERSION {
@@ -515,20 +257,6 @@ pub fn reports_from_json(s: &str) -> Result<Vec<ConformanceReport>, String> {
 mod tests {
     use super::*;
     use crate::conformance::{render_report, run_conformance, MAX_REPORTED_FAILURES};
-
-    #[test]
-    fn parser_handles_the_report_shapes() {
-        let v = parse(r#"{"a":1,"b":"x\ny","c":[1,2,{"d":[]}]}"#).unwrap();
-        let f = v.obj("t").unwrap();
-        assert_eq!(num_field(f, "a").unwrap(), 1);
-        assert_eq!(str_field(f, "b").unwrap(), "x\ny");
-        assert_eq!(field(f, "c").unwrap().arr("c").unwrap().len(), 3);
-        assert!(parse("{\"a\":1}garbage").is_err());
-        assert!(parse("{\"a\":1,\"a\":2}").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("{").is_err());
-        assert!(parse("\"\\u0041\"").unwrap() == Json::Str("A".into()));
-    }
 
     #[test]
     fn clean_report_round_trips_bit_identically() {
@@ -570,12 +298,103 @@ mod tests {
         assert_eq!(render_report(back), render_report(&r));
     }
 
+    /// A hand-built report: one failure whose strings need every escape
+    /// class the writer has (`"`, `\\`, newline, tab, U+0001) and one
+    /// static disagreement.
+    fn pinned_report() -> ConformanceReport {
+        ConformanceReport {
+            workload: "MT",
+            variant: "Penny",
+            space: FaultSpace {
+                blocks: 2,
+                warps: 3,
+                lanes: 32,
+                triggers: 41,
+                regs: 9,
+                bits: 32,
+            },
+            total: 217_728,
+            covered: 64,
+            skipped: 217_632,
+            pruned_static: 32,
+            static_prune: StaticPruneCounts { dead: 20, overwritten: 8, covered: 4 },
+            static_checked: 12,
+            static_disagreements: 1,
+            disagreements: vec![(17, "static dead, dynamic simulated".into())],
+            recovered: 63,
+            classes: SiteClassCounts {
+                never_fires: 5,
+                invisible: 30,
+                corrected_inline: 0,
+                simulated: 29,
+                spliced: 27,
+            },
+            work: ReplayWork {
+                snapshots: 6,
+                forks: 11,
+                replayed_insts: 4_096,
+                cold_insts: 65_536,
+                pages_copied: 3,
+            },
+            shard: (1, 4),
+            failures: vec![ConformanceFailure {
+                sample: 42,
+                injection: Injection {
+                    block: 1,
+                    warp: 2,
+                    lane: 31,
+                    reg: 8,
+                    bit: 30,
+                    after_warp_insts: 40,
+                },
+                reason: "mismatch at \"0x20000\": got \\x\nwant\ty\u{1}".into(),
+                reproducer: "fn repro() {\n\tcheck(\"MT\", \"C:\\\\k\");\u{1}\n}".into(),
+            }],
+        }
+    }
+
+    #[test]
+    fn report_bytes_are_pinned() {
+        let r = pinned_report();
+        let json = reports_to_json(std::slice::from_ref(&r));
+        assert_eq!(
+            json,
+            concat!(
+                "{\"v\":1,\"reports\":[\n",
+                r#"{"workload":"MT","variant":"Penny","#,
+                r#""space":{"blocks":2,"warps":3,"lanes":32,"triggers":41,"regs":9,"#,
+                r#""bits":32},"total":217728,"covered":64,"skipped":217632,"#,
+                r#""pruned_static":32,"static_prune":{"dead":20,"overwritten":8,"#,
+                r#""covered":4},"static_checked":12,"static_disagreements":1,"#,
+                r#""disagreements":[{"pos":17,"reason":"static dead, dynamic simulated"}],"#,
+                r#""recovered":63,"classes":{"never_fires":5,"invisible":30,"#,
+                r#""corrected_inline":0,"simulated":29,"spliced":27},"#,
+                r#""work":{"snapshots":6,"forks":11,"replayed_insts":4096,"#,
+                r#""cold_insts":65536,"pages_copied":3},"shard":[1,4],"#,
+                r#""failures":[{"sample":42,"injection":{"block":1,"warp":2,"#,
+                r#""lane":31,"reg":8,"bit":30,"after_warp_insts":40},"#,
+                r#""reason":"mismatch at \"0x20000\": got \\x\nwant\ty\u0001","#,
+                r#""reproducer":"fn repro() {\n\tcheck(\"MT\", \"C:\\\\k\");\u0001\n}"}]}"#,
+                "\n]}\n",
+            )
+        );
+        let back = reports_from_json(&json).expect("parse");
+        assert_eq!(back.len(), 1);
+        assert_eq!(back[0].failures[0].reason, r.failures[0].reason);
+        assert_eq!(back[0].failures[0].reproducer, r.failures[0].reproducer);
+        assert_eq!(back[0].disagreements, r.disagreements);
+        assert_eq!(reports_to_json(&back), json);
+    }
+
     #[test]
     fn version_and_structure_errors_are_rejected() {
         assert!(reports_from_json("{\"v\":99,\"reports\":[]}").is_err());
         assert!(reports_from_json("{\"reports\":[]}").is_err());
         assert!(reports_from_json("{\"v\":1,\"reports\":[{\"workload\":\"MT\"}]}").is_err());
         assert!(reports_from_json("not json").is_err());
+        // A damaged file nested past the codec's depth cap is an error,
+        // not a stack overflow.
+        assert!(reports_from_json(&"[".repeat(100_000)).is_err());
         assert_eq!(reports_from_json("{\"v\":1,\"reports\":[]}").unwrap().len(), 0);
     }
 }

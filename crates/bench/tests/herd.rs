@@ -10,6 +10,7 @@ use std::time::Duration;
 use penny_bench::conformance::{render_report, run_conformance};
 use penny_bench::herd::{run_campaign, CampaignSpec, CommandTemplate};
 use penny_bench::SchemeId;
+use penny_obs::json;
 
 /// A fresh scratch directory under the system temp dir (unique per
 /// process and test).
@@ -111,12 +112,13 @@ fn killed_shard_is_retried_and_the_merge_is_byte_identical() {
             .lines()
             .find(|l| l.contains("\"subject\":\"recording-store\""))
             .expect("recording-store span present");
-        let span = penny_obs::schema::parse_line(store_line).expect("valid span line");
-        let penny_obs::schema::Value::IntMap(counters) = &span["counters"] else {
-            panic!("counters must be a map");
-        };
-        assert!(counters["hits"] >= 1, "warm shard {index} must hit the store");
-        assert_eq!(counters["misses"], 0, "warm shard {index} must not re-record");
+        let span = json::parse(store_line).expect("valid span line");
+        let counters = json::field(span.obj("span").unwrap(), "counters")
+            .and_then(|c| c.obj("counters"))
+            .expect("counters must be a map");
+        let count = |name| json::num_field(counters, name).expect("counter present");
+        assert!(count("hits") >= 1, "warm shard {index} must hit the store");
+        assert_eq!(count("misses"), 0, "warm shard {index} must not re-record");
     }
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -33,10 +33,12 @@
 //!   and exit-status counters).
 //!
 //! Spans serialize to JSONL via [`Span::to_jsonl`]; the versioned
-//! schema lives in [`schema`] together with a dependency-free
-//! validator (`penny-prof --check` runs every emitted line through
-//! it).
+//! schema lives in [`schema`] together with its validator
+//! (`penny-prof --check` runs every emitted line through it). [`json`]
+//! is the workspace's one JSON codec: the span writer, the validator
+//! and the shard-report interchange all go through it.
 
+pub mod json;
 pub mod schema;
 
 use std::sync::Mutex;
@@ -125,9 +127,9 @@ impl Span {
         out.push_str("{\"v\":1,\"kind\":\"");
         out.push_str(self.kind.name());
         out.push_str("\",\"subject\":\"");
-        out.push_str(&json_escape(&self.subject));
+        out.push_str(&json::escape(&self.subject));
         out.push_str("\",\"label\":\"");
-        out.push_str(&json_escape(&self.label));
+        out.push_str(&json::escape(&self.label));
         out.push_str("\",\"wall_ns\":");
         out.push_str(&self.wall_ns.to_string());
         out.push_str(",\"counters\":{");
@@ -136,40 +138,21 @@ impl Span {
                 out.push(',');
             }
             out.push('"');
-            out.push_str(&json_escape(name));
+            out.push_str(&json::escape(name));
             out.push_str("\":");
             out.push_str(&value.to_string());
         }
         out.push('}');
         for (key, value) in extra {
             out.push_str(",\"");
-            out.push_str(&json_escape(key));
+            out.push_str(&json::escape(key));
             out.push_str("\":\"");
-            out.push_str(&json_escape(value));
+            out.push_str(&json::escape(value));
             out.push('"');
         }
         out.push('}');
         out
     }
-}
-
-/// Escapes a string for a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A span sink. Implementations must be cheap to query: `enabled()` is
@@ -459,5 +442,26 @@ mod tests {
         assert!(line.contains("\"counters\":{\"regions\":7}"));
         let with_extra = span.to_jsonl_with(&[("workload", "MT"), ("scheme", "Penny")]);
         assert!(with_extra.ends_with(",\"workload\":\"MT\",\"scheme\":\"Penny\"}"));
+    }
+
+    #[test]
+    fn jsonl_bytes_are_pinned() {
+        let span = Span {
+            kind: SpanKind::Site,
+            subject: "k\"1\\".into(),
+            label: "b0\tw1\nl2\u{1}".into(),
+            wall_ns: 42,
+            counters: vec![("regions".into(), 7), ("q\"n".into(), 0)],
+        };
+        let line = span.to_jsonl_with(&[("workload", "MT\r"), ("sim\\error", "x\u{1f}y")]);
+        assert_eq!(
+            line,
+            concat!(
+                r#"{"v":1,"kind":"site","subject":"k\"1\\","label":"b0\tw1\nl2\u0001","#,
+                r#""wall_ns":42,"counters":{"regions":7,"q\"n":0},"#,
+                r#""workload":"MT\r","sim\\error":"x\u001fy"}"#,
+            )
+        );
+        schema::validate_line(&line).expect("pinned line is a valid span");
     }
 }

@@ -1,4 +1,4 @@
-//! Span JSONL schema (version 1) and a dependency-free validator.
+//! Span JSONL schema (version 1) and its validator.
 //!
 //! Every line `penny-prof` (and the bench sink) emits is one JSON
 //! object with this shape:
@@ -22,261 +22,39 @@
 //! | `counters` | object of name → integer | names non-empty                           |
 //!
 //! Any additional top-level key (e.g. `workload`, `scheme`,
-//! `sim_error`) must be a string. The parser here is deliberately
-//! minimal — flat objects whose values are strings, unsigned integers,
-//! or one level of integer-valued object — because the span schema
-//! never needs more and the build has no JSON dependency.
+//! `sim_error`) must be a string. Lines are parsed by
+//! [`crate::json::parse`], so malformed JSON, duplicate keys and
+//! trailing bytes are rejected before the schema is checked.
 
-use std::collections::BTreeMap;
-
-/// A parsed JSON value as far as the span schema needs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Value {
-    /// A JSON string (escapes resolved).
-    Str(String),
-    /// An unsigned integer.
-    Int(u64),
-    /// A flat object whose values are unsigned integers.
-    IntMap(BTreeMap<String, u64>),
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Parser<'a> {
-        Parser { bytes: s.as_bytes(), pos: 0 }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = self.peek().ok_or_else(|| self.err("unterminated string"))?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = self.peek().ok_or_else(|| self.err("truncated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex =
-                                std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                    .map_err(|_| self.err("non-utf8 \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogates never appear in our emitter; reject.
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| self.err("invalid \\u code point"))?;
-                            out.push(c);
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Re-sync to char boundary for multi-byte UTF-8.
-                    let start = self.pos - 1;
-                    let width = utf8_width(b);
-                    if start + width > self.bytes.len() {
-                        return Err(self.err("truncated utf-8"));
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..start + width])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    out.push_str(s);
-                    self.pos = start + width;
-                }
-            }
-        }
-    }
-
-    fn parse_u64(&mut self) -> Result<u64, String> {
-        let start = self.pos;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(self.err("expected integer"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .unwrap()
-            .parse()
-            .map_err(|_| self.err("integer out of range"))
-    }
-
-    fn parse_int_map(&mut self) -> Result<BTreeMap<String, u64>, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(map);
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.parse_u64()?;
-            if map.insert(key, value).is_some() {
-                return Err(self.err("duplicate counter name"));
-            }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(map);
-                }
-                _ => return Err(self.err("expected ',' or '}' in counters")),
-            }
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'{') => Ok(Value::IntMap(self.parse_int_map()?)),
-            Some(b) if b.is_ascii_digit() => Ok(Value::Int(self.parse_u64()?)),
-            _ => Err(self.err("expected string, integer, or object")),
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<BTreeMap<String, Value>, String> {
-        self.skip_ws();
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-        } else {
-            loop {
-                self.skip_ws();
-                let key = self.parse_string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                let value = self.parse_value()?;
-                if map.insert(key, value).is_some() {
-                    return Err(self.err("duplicate key"));
-                }
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return Err(self.err("expected ',' or '}'")),
-                }
-            }
-        }
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing characters"));
-        }
-        Ok(map)
-    }
-}
-
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
-
-/// Parses one JSONL line into a flat key → value map.
-pub fn parse_line(line: &str) -> Result<BTreeMap<String, Value>, String> {
-    Parser::new(line).parse_object()
-}
+use crate::json;
 
 /// Validates one emitted JSONL line against span schema v1.
 pub fn validate_line(line: &str) -> Result<(), String> {
-    let obj = parse_line(line)?;
-    match obj.get("v") {
-        Some(Value::Int(1)) => {}
-        Some(_) => return Err("field 'v' must be the integer 1".into()),
-        None => return Err("missing field 'v'".into()),
+    let doc = json::parse(line)?;
+    let fields = doc.obj("span")?;
+    if json::num_field(fields, "v")? != 1 {
+        return Err("field 'v' must be the integer 1".into());
     }
-    match obj.get("kind") {
-        Some(Value::Str(kind)) => {
-            if crate::SpanKind::from_name(kind).is_none() {
-                return Err(format!("unknown kind {kind:?}"));
-            }
-        }
-        _ => return Err("field 'kind' must be a string".into()),
+    let kind = json::str_field(fields, "kind")?;
+    if crate::SpanKind::from_name(kind).is_none() {
+        return Err(format!("unknown kind {kind:?}"));
     }
-    for field in ["subject", "label"] {
-        match obj.get(field) {
-            Some(Value::Str(s)) if !s.is_empty() => {}
-            Some(Value::Str(_)) => {
-                return Err(format!("field '{field}' must be non-empty"))
-            }
-            _ => return Err(format!("field '{field}' must be a string")),
+    for key in ["subject", "label"] {
+        if json::str_field(fields, key)?.is_empty() {
+            return Err(format!("field '{key}' must be non-empty"));
         }
     }
-    match obj.get("wall_ns") {
-        Some(Value::Int(_)) => {}
-        _ => return Err("field 'wall_ns' must be an unsigned integer".into()),
-    }
-    match obj.get("counters") {
-        Some(Value::IntMap(map)) => {
-            if map.keys().any(|k| k.is_empty()) {
-                return Err("counter names must be non-empty".into());
-            }
+    json::num_field(fields, "wall_ns")?;
+    for (name, value) in json::field(fields, "counters")?.obj("counters")? {
+        if name.is_empty() {
+            return Err("counter names must be non-empty".into());
         }
-        _ => return Err("field 'counters' must be an object of integers".into()),
+        value.num(name)?;
     }
     const CORE: [&str; 6] = ["v", "kind", "subject", "label", "wall_ns", "counters"];
-    for (key, value) in &obj {
-        if CORE.contains(&key.as_str()) {
-            continue;
-        }
-        if !matches!(value, Value::Str(_)) {
-            return Err(format!("extra field {key:?} must be a string"));
+    for (key, value) in fields {
+        if !CORE.contains(&key.as_str()) {
+            value.str(key)?;
         }
     }
     Ok(())
@@ -357,7 +135,7 @@ mod tests {
     }
 
     #[test]
-    fn escaped_subject_round_trips() {
+    fn span_subject_round_trips_through_the_parser() {
         let span = Span {
             kind: SpanKind::Pass,
             subject: "k\"\\\n\u{1}".into(),
@@ -365,8 +143,9 @@ mod tests {
             wall_ns: 0,
             counters: vec![],
         };
-        let obj = parse_line(&span.to_jsonl()).unwrap();
-        assert_eq!(obj.get("subject"), Some(&Value::Str("k\"\\\n\u{1}".into())));
+        let doc = json::parse(&span.to_jsonl()).unwrap();
+        let fields = doc.obj("span").unwrap();
+        assert_eq!(json::str_field(fields, "subject").unwrap(), "k\"\\\n\u{1}");
     }
 
     #[test]
@@ -392,16 +171,9 @@ mod tests {
         // Trailing garbage and malformed JSON.
         assert!(validate_line("{} trailing").is_err());
         assert!(validate_line("not json").is_err());
-        assert!(parse_line(r#"{"a":1,"a":2}"#).is_err());
-    }
-
-    #[test]
-    fn parser_handles_whitespace_and_unicode() {
-        let obj =
-            parse_line("{ \"a\" : \"caf\u{e9} \\u00e9\" , \"b\" : 42 , \"c\" : { } }")
-                .unwrap();
-        assert_eq!(obj.get("a"), Some(&Value::Str("café é".into())));
-        assert_eq!(obj.get("b"), Some(&Value::Int(42)));
-        assert_eq!(obj.get("c"), Some(&Value::IntMap(BTreeMap::new())));
+        assert!(validate_line("[]").is_err());
+        // Counters must be integers.
+        let bad_counter = r#"{"v":1,"kind":"pass","subject":"k","label":"p","wall_ns":0,"counters":{"n":"7"}}"#;
+        assert!(validate_line(bad_counter).is_err());
     }
 }

@@ -34,10 +34,12 @@
 #      static/dynamic disagreements), and the prune-rate floor
 #      (penny-eval vulnerability --min-prune: at least 50% of the MT
 #      fault space must be statically answered);
-#   7. the observability layer: penny-prof over all 25 workloads with
-#      every emitted JSONL span schema-validated, plus the neutrality
-#      suite (figures/BENCH/conformance byte-identical with the
-#      recorder on vs off);
+#   7. the observability layer: the unit tests of the JSON codec
+#      (penny_obs::json), the span-schema validator and the
+#      shard-report round trip (penny_bench::json); penny-prof over all
+#      25 workloads with every emitted JSONL span schema-validated; and
+#      the neutrality suite (figures/BENCH/conformance byte-identical
+#      with the recorder on vs off);
 #   8. the compile-time perf gate: overwrite prevention must stay at
 #      or under 35% of total pass time (best of three runs — wall
 #      times are noisy) via penny-prof --assert-share;
@@ -128,6 +130,10 @@ cargo run -q --release -p penny-bench --bin penny-eval -- \
 echo "==> static vulnerability: prune-rate floor (MT >= 50% classified)"
 cargo run -q --release -p penny-bench --bin penny-eval -- \
     vulnerability --min-prune 0.5 > /dev/null
+
+echo "==> observability: JSON codec, span schema, report round trip"
+cargo test -q -p penny-obs
+cargo test -q -p penny-bench --lib json
 
 echo "==> observability: span schema + neutrality"
 cargo run -q --release -p penny-bench --bin penny-prof -- --all-workloads --json --check > /dev/null
