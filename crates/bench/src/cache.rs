@@ -100,11 +100,6 @@ pub fn compile_cache_stats() -> CacheStats {
     compiled_cache().stats()
 }
 
-/// Counter snapshot of the baseline-measurement cache.
-pub fn baseline_cache_stats() -> CacheStats {
-    baseline_cache().stats()
-}
-
 /// Emits one `cache`-kind span per harness cache (subjects
 /// `compile-cache` and `baseline-cache`) carrying the hit/miss/
 /// eviction/in-flight-wait counters. `penny-prof` appends these to its

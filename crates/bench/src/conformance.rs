@@ -732,20 +732,9 @@ pub fn shrink_injection(
     }
 }
 
-/// The `SchemeId::` variant token for generated code.
-fn scheme_token(scheme: SchemeId) -> &'static str {
-    match scheme {
-        SchemeId::Baseline => "Baseline",
-        SchemeId::IGpu => "IGpu",
-        SchemeId::BoltGlobal => "BoltGlobal",
-        SchemeId::BoltAuto => "BoltAuto",
-        SchemeId::Penny => "Penny",
-    }
-}
-
 /// Renders a failing site as a ready-to-paste regression test.
 pub fn render_reproducer(abbr: &str, scheme: SchemeId, inj: &Injection) -> String {
-    let token = scheme_token(scheme);
+    let token = scheme.token();
     format!(
         "#[test]\n\
          fn conformance_regression_{name}_{scheme_lc}() {{\n    \

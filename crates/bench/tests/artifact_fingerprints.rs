@@ -24,16 +24,6 @@ use penny_sim::GpuConfig;
 const SCHEMES: [SchemeId; 4] =
     [SchemeId::Penny, SchemeId::BoltGlobal, SchemeId::BoltAuto, SchemeId::IGpu];
 
-fn scheme_token(scheme: SchemeId) -> &'static str {
-    match scheme {
-        SchemeId::Baseline => "Baseline",
-        SchemeId::IGpu => "IGpu",
-        SchemeId::BoltGlobal => "BoltGlobal",
-        SchemeId::BoltAuto => "BoltAuto",
-        SchemeId::Penny => "Penny",
-    }
-}
-
 /// Compiles one (workload, scheme) pair exactly like the run harness
 /// does (launch dims + Fermi machine), bypassing every cache.
 fn compile_direct(
@@ -56,7 +46,7 @@ fn current_fingerprints() -> Vec<(String, u64)> {
     for w in penny_workloads::all() {
         for scheme in SCHEMES {
             let fp = fingerprint_protected(&compile_direct(&w, scheme));
-            out.push((format!("{} {}", w.abbr, scheme_token(scheme)), fp));
+            out.push((format!("{} {}", w.abbr, scheme.token()), fp));
         }
     }
     out

@@ -30,7 +30,7 @@
 //! scheduler.
 
 use penny_core::{LaunchDims, Protected};
-use penny_ir::{MemSpace, Op, Operand, RegionId, Special, Terminator};
+use penny_ir::{MemSpace, Op, Operand, Special, Terminator};
 use penny_obs::{record_sim, Recorder, SpanTimer};
 
 use crate::config::{GpuConfig, RfProtection};
@@ -1522,15 +1522,6 @@ enum StepFault {
 impl From<SimError> for StepFault {
     fn from(e: SimError) -> StepFault {
         StepFault::Sim(e)
-    }
-}
-
-/// Recovery needs mutable access to blocks; expose the pieces it uses.
-impl BlockCtx {
-    /// The region id marker instruction of `region` if the warp's
-    /// current snapshot matches (diagnostics).
-    pub fn snapshot_region_of(&self, wi: usize) -> Option<RegionId> {
-        self.warps[wi].snapshot.as_ref().map(|s| s.region)
     }
 }
 

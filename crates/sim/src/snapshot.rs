@@ -4,14 +4,20 @@
 //! # The cost model this attacks
 //!
 //! A conformance campaign runs one full kernel per injection site. But
-//! a single-bit RF fault only perturbs execution from the moment the
-//! corrupted register is *observed* — everything before that instant
-//! is bit-identical to the fault-free run, and everything in waves
+//! an RF fault only perturbs execution from the moment the corrupted
+//! register is *observed* — everything before that instant is
+//! bit-identical to the fault-free run, and everything in waves
 //! scheduled before the victim's wave is untouched entirely. This
 //! module records one fault-free run per (workload, scheme) pair —
 //! capturing wave states at region-entry boundaries, per-wave
 //! stats/memory marks, and a per-thread register access trace — and
-//! then answers each site from the cheapest sufficient evidence:
+//! then answers each site from the cheapest sufficient evidence.
+//!
+//! A site is one flip plan in one cell: every injection names the same
+//! (block, warp, lane, register, trigger) and differs only in the bit
+//! it flips ([`Recording::run_plan`]; [`Recording::run_site`] is the
+//! single-bit case). All of a plan's flips land at the same instant, so
+//! the evidence below depends only on the cell and the trigger:
 //!
 //! * **Never-fires** (trigger past the warp's dynamic length, or lane
 //!   beyond the warp width): the site run *is* the recording.
@@ -20,31 +26,34 @@
 //!   overwritten before any read observes it — `RegFile::write`
 //!   re-encodes obliviously — so the site run is again bit-identical
 //!   to the recording.
-//! * **Corrected-inline** (first access is a read under SECDED ECC):
-//!   the decode corrects and scrubs the word back to its exact
-//!   fault-free encoding with no timing penalty; the outcome is the
-//!   recording plus one `corrected` and one `decoded_reads` count.
+//! * **Corrected-inline** (first access is a read of a single flip
+//!   under SECDED ECC): the decode corrects and scrubs the word back to
+//!   its exact fault-free encoding with no timing penalty; the outcome
+//!   is the recording plus one `corrected` and one `decoded_reads`
+//!   count.
 //! * **Simulate** (first access is a read under parity EDC or an
-//!   unprotected RF): detection/corruption genuinely perturbs the
-//!   run. The site forks the victim's wave from the latest recorded
-//!   snapshot whose victim-warp progress has not yet passed the first
-//!   read, replays that wave honestly, and — when the wave ends with
-//!   global-memory contents equal to the recorded wave-end mark —
-//!   splices the recorded remainder instead of re-simulating it.
+//!   unprotected RF, or a read of two or more flips under ECC, which
+//!   SECDED cannot correct): detection/corruption genuinely perturbs
+//!   the run. The site forks the victim's wave from the latest
+//!   recorded snapshot whose victim-warp progress has not yet passed
+//!   the first read, replays that wave honestly, and — when the wave
+//!   ends with global-memory contents equal to the recorded wave-end
+//!   mark — splices the recorded remainder instead of re-simulating it.
 //!
 //! # Determinism contract
 //!
-//! A forked site run is **bit-identical** to a from-scratch run of the
-//! same injection: verdict, [`RunStats`], and memory contents. The
-//! classification shortcuts rest on three engine invariants pinned by
-//! tests: a register write re-encodes and clears the dirty bit without
-//! looking at the old word; a single-bit EDC fault always reads as
-//! `Detected` (the corrupted value is never architecturally observed,
-//! so the outcome is independent of which bit flipped); and a
-//! single-bit SECDED read always corrects inline and scrubs. The fork
-//! shortcut rests on snapshots being taken at scheduler-cycle
-//! boundaries of a deterministic engine: resuming a captured wave
-//! state replays the identical cycle stream.
+//! A forked run of a same-cell flip plan is **bit-identical** to a
+//! from-scratch [`crate::Gpu::run`] of the same plan: verdict,
+//! [`RunStats`], memory contents, and errors. The classification
+//! shortcuts rest on three engine invariants pinned by tests: a
+//! register write re-encodes and clears the dirty bit without looking
+//! at the old word; a single-bit EDC fault always reads as `Detected`
+//! (the corrupted value is never architecturally observed, so the
+//! outcome is independent of which bit flipped — the memo key relies
+//! on this); and a single-bit SECDED read always corrects inline and
+//! scrubs. The fork shortcut rests on snapshots being taken at
+//! scheduler-cycle boundaries of a deterministic engine: resuming a
+//! captured wave state replays the identical cycle stream.
 //!
 //! Global memory is forked copy-on-write ([`GlobalMemory::fork`]), so
 //! each site pays O(pages it actually dirties), not O(heap).
@@ -52,7 +61,6 @@
 use std::collections::HashMap;
 
 use penny_core::Protected;
-use penny_ir::RegionId;
 
 use crate::config::{GpuConfig, RfProtection};
 use crate::engine::{
@@ -62,7 +70,7 @@ use crate::engine::{
 use crate::fault::{FaultPlan, Injection};
 use crate::memory::GlobalMemory;
 use crate::program::{DKind, DSrc, Program, NO_REG};
-use crate::{Gpu, SimError};
+use crate::SimError;
 
 /// Per-wave snapshot cap; when a wave crosses more region boundaries
 /// than this, the recorder thins to every other snapshot and doubles
@@ -77,11 +85,12 @@ pub enum SiteClass {
     NeverFires,
     /// The flip fires but is overwritten before any read observes it.
     Invisible,
-    /// The first observation is a read under SECDED ECC: corrected
-    /// inline and scrubbed, with no downstream effect.
+    /// The first observation is a read of a single flip under SECDED
+    /// ECC: corrected inline and scrubbed, with no downstream effect.
     CorrectedInline,
     /// The first observation is a read under parity EDC or an
-    /// unprotected RF; the wave was forked and replayed.
+    /// unprotected RF, or a read of several flips under ECC; the wave
+    /// was forked and replayed.
     Simulated,
 }
 
@@ -480,7 +489,7 @@ impl Recording {
     /// snapshots, and the register access trace. The run itself is
     /// bit-identical to [`crate::engine::run`] (the trace is passive);
     /// the returned recording answers injection sites via
-    /// [`Recording::run_site`].
+    /// [`Recording::run_plan`].
     ///
     /// `global` is forked, not mutated.
     ///
@@ -497,7 +506,7 @@ impl Recording {
     ) -> Result<Recording, SimError> {
         if !launch.faults.is_empty() {
             return Err(SimError::BadLaunch(
-                "recordings must be fault-free (inject via run_site)".into(),
+                "recordings must be fault-free (inject via run_plan)".into(),
             ));
         }
         check_launch(protected, launch)?;
@@ -698,23 +707,56 @@ impl Recording {
         }
     }
 
-    /// Answers one injection site, bit-identically to a from-scratch
-    /// `run` of the same fault plan (see the module-level determinism
-    /// contract).
+    /// Answers one single-bit injection site: [`Recording::run_plan`]
+    /// of the one-injection plan.
     ///
     /// # Errors
     ///
-    /// Exactly the errors a from-scratch faulty run would raise
-    /// (e.g. [`SimError::UnrecoverableFault`] under EDC with no
-    /// regions, or [`SimError::CycleLimit`] when a corrupted loop
-    /// bound runs away).
+    /// As [`Recording::run_plan`].
     pub fn run_site(
         &self,
         config: &GpuConfig,
         protected: &Protected,
         inj: Injection,
     ) -> Result<SiteRun, SimError> {
-        let (class, first_read) = self.classify(&inj);
+        self.run_plan(config, protected, &FaultPlan::single(inj))
+    }
+
+    /// Answers a flip plan in one cell — every injection names the same
+    /// (block, warp, lane, register, trigger) — bit-identically to a
+    /// from-scratch `run` of the same plan (see the module-level
+    /// determinism contract). Under ECC a plan of more than one flip is
+    /// replayed, never answered [`SiteClass::CorrectedInline`]: SECDED
+    /// cannot correct two flips.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::BadLaunch`] for an empty plan or one that names more
+    /// than one cell or trigger; otherwise exactly the errors a
+    /// from-scratch faulty run would raise (e.g.
+    /// [`SimError::UnrecoverableFault`] under EDC with no regions or for
+    /// a double flip under SECDED, or [`SimError::CycleLimit`] when a
+    /// corrupted loop bound runs away).
+    pub fn run_plan(
+        &self,
+        config: &GpuConfig,
+        protected: &Protected,
+        plan: &FaultPlan,
+    ) -> Result<SiteRun, SimError> {
+        let Some(&site) = plan.injections.first() else {
+            return Err(SimError::BadLaunch("empty fault plan".into()));
+        };
+        if plan.injections.iter().any(|i| Injection { bit: site.bit, ..*i } != site) {
+            return Err(SimError::BadLaunch(
+                "a recording replays flips in one cell at one trigger".into(),
+            ));
+        }
+        let (class, first_read) = match self.classify(&site) {
+            (SiteClass::CorrectedInline, read) if plan.injections.len() > 1 => {
+                (SiteClass::Simulated, read)
+            }
+            answer => answer,
+        };
         let fired = !matches!(class, SiteClass::NeverFires);
         match class {
             SiteClass::NeverFires | SiteClass::Invisible => Ok(SiteRun {
@@ -745,7 +787,8 @@ impl Recording {
             SiteClass::Simulated => self.simulate_site(
                 config,
                 protected,
-                inj,
+                plan,
+                site,
                 first_read.expect("simulated sites carry a first-read index"),
             ),
         }
@@ -758,18 +801,19 @@ impl Recording {
         &self,
         config: &GpuConfig,
         protected: &Protected,
-        inj: Injection,
+        plan: &FaultPlan,
+        site: Injection,
         first_read: u64,
     ) -> Result<SiteRun, SimError> {
-        let k = *self.block_wave.get(&inj.block).expect("victim block is scheduled");
+        let k = *self.block_wave.get(&site.block).expect("victim block is scheduled");
         let wave = &self.waves[k];
         let vb = wave
             .blocks
             .iter()
-            .position(|&b| b == inj.block)
+            .position(|&b| b == site.block)
             .expect("victim block resident in its wave");
-        let flat = vb * self.warps_per_block as usize + inj.warp as usize;
-        let launch = self.launch.clone().with_faults(FaultPlan::single(inj));
+        let flat = vb * self.warps_per_block as usize + site.warp as usize;
+        let launch = self.launch.clone().with_faults(plan.clone());
         // Latest snapshot whose victim-warp progress has not passed the
         // first read: the flip is unobserved between the trigger and
         // that read, so applying it at resume time is equivalent to
@@ -865,196 +909,5 @@ impl Recording {
                 pages_copied,
             })
         }
-    }
-}
-
-/// A resumable engine checkpoint, produced by [`Gpu::run_to_region`]:
-/// one wave's scheduler state (warps, SIMT stacks, register files,
-/// shared memory) at a region-entry boundary, plus the copy-on-write
-/// global memory and accumulated statistics of everything executed
-/// before it.
-pub struct EngineSnapshot {
-    wave_index: usize,
-    launch: LaunchConfig,
-    state: WaveState,
-    global: GlobalMemory,
-    stats: RunStats,
-    sm_cycles: Vec<u64>,
-    region: RegionId,
-}
-
-impl EngineSnapshot {
-    /// The region whose entry triggered this checkpoint.
-    pub fn region(&self) -> RegionId {
-        self.region
-    }
-
-    /// Wave-local cycle of the checkpoint.
-    pub fn cycle(&self) -> u64 {
-        self.state.cycle
-    }
-
-    /// Statistics accumulated up to the checkpoint.
-    pub fn stats(&self) -> &RunStats {
-        &self.stats
-    }
-}
-
-/// Region-stop tracer for [`Gpu::run_to_region`].
-struct RegionStop {
-    target: RegionId,
-    last_entry: Vec<u64>,
-    hit: Option<(WaveState, GlobalMemory, RunStats)>,
-}
-
-impl WaveTrace for RegionStop {
-    fn at_cycle(&mut self, eng: &SmEngine<'_>, stats: &RunStats) {
-        if self.hit.is_some() {
-            return;
-        }
-        if self.last_entry.is_empty() {
-            self.last_entry = eng
-                .blocks()
-                .iter()
-                .flat_map(|b| b.warps.iter().map(|_| u64::MAX))
-                .collect();
-            return;
-        }
-        let mut flat = 0usize;
-        let mut entered = false;
-        for b in eng.blocks() {
-            for w in &b.warps {
-                let cur = w.snapshot.as_ref().map_or(u64::MAX, |s| s.executed);
-                if cur != self.last_entry[flat] {
-                    self.last_entry[flat] = cur;
-                    if w.snapshot.as_ref().is_some_and(|s| s.region == self.target) {
-                        entered = true;
-                    }
-                }
-                flat += 1;
-            }
-        }
-        if entered {
-            self.hit = Some((eng.capture(), eng.global().fork(), *stats));
-        }
-    }
-
-    fn on_inst(&mut self, _ev: TraceEvent) {}
-}
-
-impl Gpu {
-    /// Runs a fault-free launch up to the first entry into `region`
-    /// and returns a checkpoint at that boundary. Device memory is not
-    /// mutated (the run executes on a copy-on-write fork); resume the
-    /// checkpoint — with or without faults — via [`Gpu::resume_from`].
-    ///
-    /// # Errors
-    ///
-    /// Fails like [`Gpu::run`]; additionally [`SimError::BadMetadata`]
-    /// if the run completes without ever entering `region`, and
-    /// [`SimError::BadLaunch`] if the launch carries a fault plan
-    /// (inject at resume time instead, so the checkpoint stays
-    /// fault-free).
-    pub fn run_to_region(
-        &self,
-        protected: &Protected,
-        launch: &LaunchConfig,
-        region: RegionId,
-    ) -> Result<EngineSnapshot, SimError> {
-        if !launch.faults.is_empty() {
-            return Err(SimError::BadLaunch(
-                "run_to_region captures fault-free checkpoints; pass faults to resume_from"
-                    .into(),
-            ));
-        }
-        check_launch(protected, launch)?;
-        let program = Program::new(&protected.kernel);
-        let plan = wave_plan(self.config(), protected, launch, &program);
-        let mut global = self.global().fork();
-        let mut stats = RunStats::default();
-        let mut sm_cycles = vec![0u64; self.config().num_sms as usize];
-        for (k, slot) in plan.iter().enumerate() {
-            let mut stop = RegionStop { target: region, last_entry: Vec::new(), hit: None };
-            let cycles = {
-                let mut eng = SmEngine::for_wave(
-                    self.config(),
-                    protected,
-                    launch,
-                    &program,
-                    &mut global,
-                    &slot.blocks,
-                    Some(&mut stop),
-                );
-                eng.run_wave(&mut stats)?
-            };
-            if let Some((state, g, s)) = stop.hit {
-                return Ok(EngineSnapshot {
-                    wave_index: k,
-                    launch: launch.clone(),
-                    state,
-                    global: g,
-                    stats: s,
-                    sm_cycles,
-                    region,
-                });
-            }
-            sm_cycles[slot.sm] += cycles;
-        }
-        Err(SimError::BadMetadata(format!("{region} is never entered by this launch")))
-    }
-
-    /// Resumes a checkpoint to completion, optionally injecting
-    /// `faults`, and returns the final statistics; device memory is
-    /// replaced with the resumed run's final memory (like [`Gpu::run`]).
-    ///
-    /// Determinism contract: for any fault plan whose injections had
-    /// not yet fired at the checkpoint (triggers at or after the
-    /// victim warps' checkpointed progress — e.g. anything inside or
-    /// after the checkpoint's region), the resumed run is bit-identical
-    /// to a from-scratch run of the same plan: same [`RunStats`], same
-    /// memory contents, same errors.
-    ///
-    /// # Errors
-    ///
-    /// Fails like [`Gpu::run`].
-    pub fn resume_from(
-        &mut self,
-        protected: &Protected,
-        snap: &EngineSnapshot,
-        faults: FaultPlan,
-    ) -> Result<RunStats, SimError> {
-        let launch = snap.launch.clone().with_faults(faults);
-        check_launch(protected, &launch)?;
-        let program = Program::new(&protected.kernel);
-        let plan = wave_plan(self.config(), protected, &launch, &program);
-        let mut global = snap.global.fork();
-        let mut stats = snap.stats;
-        let mut sm_cycles = snap.sm_cycles.clone();
-        {
-            let mut eng = SmEngine::restore(
-                self.config(),
-                protected,
-                &launch,
-                &program,
-                &mut global,
-                &snap.state,
-            );
-            sm_cycles[plan[snap.wave_index].sm] += eng.run_wave(&mut stats)?;
-        }
-        for slot in &plan[snap.wave_index + 1..] {
-            let mut eng = SmEngine::for_wave(
-                self.config(),
-                protected,
-                &launch,
-                &program,
-                &mut global,
-                &slot.blocks,
-                None,
-            );
-            sm_cycles[slot.sm] += eng.run_wave(&mut stats)?;
-        }
-        stats.cycles = sm_cycles.iter().copied().max().unwrap_or(0);
-        *self.global_mut() = global;
-        Ok(stats)
     }
 }

@@ -1,8 +1,7 @@
 //! Resume determinism on *generated* kernels: a [`Recording`] must
-//! answer any injection site bit-identically to a from-scratch run,
-//! and [`Gpu::run_to_region`] / [`Gpu::resume_from`] must satisfy
-//! their documented contract, for arbitrary members of the generator
-//! families — not just the hand-written rigs in `snapshot_replay.rs`.
+//! answer any same-cell flip plan bit-identically to a from-scratch
+//! run, for arbitrary members of the generator families — not just the
+//! hand-written rigs in `snapshot_replay.rs`.
 
 use proptest::prelude::*;
 use proptest::test_runner::Reject;
@@ -34,21 +33,30 @@ fn cold(
     Ok((stats, gpu.global().fork()))
 }
 
-/// A small deterministic site sample spread over the fault space.
-fn sites(seed: u64, regs: u32, count: usize) -> Vec<Injection> {
+/// A small deterministic sample of one- to three-bit same-cell flip
+/// plans spread over the fault space.
+fn plans(seed: u64, regs: u32, count: usize) -> Vec<FaultPlan> {
     let mut s = seed;
     let mut draw = || {
         s = splitmix64(s);
         s
     };
     (0..count)
-        .map(|_| Injection {
-            block: (draw() % 3) as u32,
-            warp: (draw() % 2) as u32,
-            lane: (draw() % 32) as u32,
-            reg: (draw() % u64::from(regs.max(1))) as u32,
-            bit: (draw() % 33) as u32,
-            after_warp_insts: 1 + draw() % 120,
+        .map(|_| {
+            let site = Injection {
+                block: (draw() % 3) as u32,
+                warp: (draw() % 2) as u32,
+                lane: (draw() % 32) as u32,
+                reg: (draw() % u64::from(regs.max(1))) as u32,
+                bit: (draw() % 33) as u32,
+                after_warp_insts: 1 + draw() % 120,
+            };
+            let flips = 1 + (draw() % 3) as u32;
+            FaultPlan {
+                injections: (0..flips)
+                    .map(|k| Injection { bit: (site.bit + 11 * k) % 33, ..site })
+                    .collect(),
+            }
         })
         .collect()
 }
@@ -61,8 +69,8 @@ fn compile_penny(spec: &KernelSpec) -> Option<Protected> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Every recorded site answer — stats, memory, counters, errors —
-    /// is bit-identical to a from-scratch run of the same injection.
+    /// Every recorded plan answer — stats, memory, counters, errors —
+    /// is bit-identical to a from-scratch run of the same plan.
     #[test]
     fn recorded_sites_match_cold_runs_on_generated_kernels(
         ops in proptest::collection::vec(0u8..8, 1..9),
@@ -89,87 +97,18 @@ proptest! {
         prop_assert_eq!(rec.global(), &plain_global);
 
         let regs = protected.kernel.vreg_limit();
-        for inj in sites(site_seed, regs, 6) {
-            let forked = rec.run_site(&cfg, &protected, inj);
-            let scratch = cold(&protected, &spec, FaultPlan::single(inj));
+        for plan in plans(site_seed, regs, 6) {
+            let forked = rec.run_plan(&cfg, &protected, &plan);
+            let scratch = cold(&protected, &spec, plan.clone());
             match (forked, scratch) {
                 (Ok(site), Ok((cs, cg))) => {
-                    prop_assert_eq!(&site.stats, &cs, "stats diverge at {:?}", inj);
-                    prop_assert_eq!(&site.global, &cg, "memory diverges at {:?}", inj);
+                    prop_assert_eq!(&site.stats, &cs, "stats diverge at {:?}", plan);
+                    prop_assert_eq!(&site.global, &cg, "memory diverges at {:?}", plan);
                 }
-                (Err(fe), Err(ce)) => prop_assert_eq!(fe, ce, "errors diverge at {:?}", inj),
+                (Err(fe), Err(ce)) => prop_assert_eq!(fe, ce, "errors diverge at {:?}", plan),
                 (f, c) => panic!(
-                    "outcome shape diverges at {inj:?}: forked={f:?} cold_ok={}",
+                    "outcome shape diverges at {plan:?}: forked={f:?} cold_ok={}",
                     c.is_ok()
-                ),
-            }
-        }
-    }
-
-    /// `run_to_region` + fault-free `resume_from` reproduces the plain
-    /// run exactly, and faulty resumes honor the documented contract
-    /// for triggers at or after the checkpointed progress.
-    #[test]
-    fn resume_from_matches_from_scratch_on_generated_kernels(
-        ops in proptest::collection::vec(0u8..8, 1..9),
-        topo_seed: u64,
-        nnz in 1u8..7,
-        site_seed: u64,
-    ) {
-        let spec = KernelSpec::sparse(ops, topo_seed, nnz);
-        let protected = match compile_penny(&spec) {
-            Some(p) => p,
-            None => return Err(Reject),
-        };
-        prop_assume!(!protected.regions.is_empty());
-        let region = protected.regions[protected.regions.len() / 2].id;
-
-        let image = spec.image();
-        let mut seeded = GlobalMemory::new();
-        image.apply(&mut seeded);
-        let launch = LaunchConfig::new(spec.dims(), image.params.clone());
-        let mut gpu = Gpu::new(gpu_config());
-        *gpu.global_mut() = seeded.fork();
-        let snap = match gpu.run_to_region(&protected, &launch, region) {
-            Ok(s) => s,
-            // Some generated launches never enter the sampled region
-            // (e.g. it sits on an untaken branch): nothing to resume.
-            Err(SimError::BadMetadata(_)) => return Err(Reject),
-            Err(e) => panic!("run_to_region: {e:?}"),
-        };
-        prop_assert_eq!(snap.region(), region);
-        prop_assert!(
-            gpu.global().contents_eq(&seeded),
-            "run_to_region must not mutate device memory"
-        );
-
-        // Fault-free resume == plain run.
-        let stats = gpu
-            .resume_from(&protected, &snap, FaultPlan::none())
-            .expect("fault-free resume");
-        let (plain_stats, plain_global) =
-            cold(&protected, &spec, FaultPlan::none()).expect("plain");
-        prop_assert_eq!(&stats, &plain_stats);
-        prop_assert_eq!(gpu.global(), &plain_global);
-
-        // Faulty resumes: trigger past the snapshot's total progress is
-        // necessarily at-or-after every warp's checkpointed progress.
-        let base = snap.stats().warp_instructions;
-        let regs = protected.kernel.vreg_limit();
-        for mut inj in sites(site_seed, regs, 4) {
-            inj.after_warp_insts += base;
-            let plan = FaultPlan::single(inj);
-            let resumed = gpu.resume_from(&protected, &snap, plan.clone());
-            match (resumed, cold(&protected, &spec, plan)) {
-                (Ok(rs), Ok((cs, cg))) => {
-                    prop_assert_eq!(&rs, &cs, "resume stats diverge at {:?}", inj);
-                    prop_assert_eq!(gpu.global(), &cg, "resume memory diverges at {:?}", inj);
-                }
-                (Err(re), Err(ce)) => prop_assert_eq!(re, ce, "errors diverge at {:?}", inj),
-                (a, b) => panic!(
-                    "shape diverges at {inj:?}: resumed_ok={} cold_ok={}",
-                    a.is_ok(),
-                    b.is_ok()
                 ),
             }
         }

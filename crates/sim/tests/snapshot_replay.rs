@@ -1,9 +1,8 @@
-//! Snapshot/replay determinism: every site answered from a
-//! [`Recording`] must be bit-identical to a from-scratch run of the
-//! same injection — stats, memory contents, access counters, and
-//! errors — across all four site classes (never-fires, invisible,
-//! corrected-inline, simulated), and [`Gpu::run_to_region`] /
-//! [`Gpu::resume_from`] must satisfy the same contract.
+//! Snapshot/replay determinism: every same-cell flip plan answered from
+//! a [`Recording`] must be bit-identical to a from-scratch run of the
+//! same plan — stats, memory contents, access counters, and errors —
+//! across all four site classes (never-fires, invisible,
+//! corrected-inline, simulated), for single-bit and multi-bit plans.
 
 use penny_coding::Scheme;
 use penny_core::{compile, LaunchDims, PennyConfig, Protection};
@@ -104,7 +103,18 @@ fn site_grid() -> Vec<Injection> {
     sites
 }
 
-fn assert_site_equivalence(protection: Protection) -> [usize; 4] {
+/// `flips` adjacent bits of `inj`'s cell, all flipped at its trigger.
+fn adjacent_flips(inj: Injection, flips: u32) -> FaultPlan {
+    FaultPlan {
+        injections: (0..flips).map(|k| Injection { bit: inj.bit + k, ..inj }).collect(),
+    }
+}
+
+/// Runs a `flips`-bit plan at every grid site through the recording
+/// and from scratch, asserting identical outcomes. Returns the forked
+/// answers per class (never-fires, invisible, corrected-inline,
+/// simulated) and the number of sites whose run ended in an error.
+fn assert_plan_equivalence(protection: Protection, flips: u32) -> ([usize; 4], usize) {
     let r = rig(protection);
     let rec = Recording::record(&r.gpu_config, &r.protected, &r.launch, &r.seeded)
         .expect("record");
@@ -115,9 +125,11 @@ fn assert_site_equivalence(protection: Protection) -> [usize; 4] {
     assert_eq!(*rec.global(), plain_global, "recording global diverges");
 
     let mut class_counts = [0usize; 4];
+    let mut errors = 0;
     for inj in site_grid() {
-        let forked = rec.run_site(&r.gpu_config, &r.protected, inj);
-        let from_scratch = cold(&r, FaultPlan::single(inj));
+        let plan = adjacent_flips(inj, flips);
+        let forked = rec.run_plan(&r.gpu_config, &r.protected, &plan);
+        let from_scratch = cold(&r, plan);
         match (forked, from_scratch) {
             (Ok(site), Ok((cs, cg))) => {
                 assert_eq!(site.stats, cs, "stats diverge at {inj:?} ({:?})", site.class);
@@ -140,6 +152,7 @@ fn assert_site_equivalence(protection: Protection) -> [usize; 4] {
             }
             (Err(fe), Err(ce)) => {
                 assert_eq!(fe, ce, "errors diverge at {inj:?}");
+                errors += 1;
             }
             (f, c) => panic!(
                 "outcome shape diverges at {inj:?}: forked={:?} cold={:?}",
@@ -148,29 +161,65 @@ fn assert_site_equivalence(protection: Protection) -> [usize; 4] {
             ),
         }
     }
-    class_counts
+    (class_counts, errors)
 }
 
 #[test]
 fn forked_sites_match_cold_runs_under_edc() {
-    let counts = assert_site_equivalence(Protection::Penny);
-    assert!(counts[0] > 0, "grid exercises never-fires sites");
-    assert!(counts[1] > 0, "grid exercises invisible sites");
-    assert_eq!(counts[2], 0, "EDC has no inline correction");
-    assert!(counts[3] > 0, "grid exercises simulated sites");
+    for flips in 1..=3 {
+        let (counts, _) = assert_plan_equivalence(Protection::Penny, flips);
+        assert!(counts[0] > 0, "grid exercises never-fires sites");
+        assert!(counts[1] > 0, "grid exercises invisible sites");
+        assert_eq!(counts[2], 0, "EDC has no inline correction");
+        assert!(counts[3] > 0, "grid exercises simulated {flips}-bit plans");
+    }
 }
 
 #[test]
 fn forked_sites_match_cold_runs_under_ecc() {
-    let counts = assert_site_equivalence(Protection::IGpu);
+    let (counts, _) = assert_plan_equivalence(Protection::IGpu, 1);
     assert!(counts[2] > 0, "grid exercises corrected-inline sites");
     assert_eq!(counts[3], 0, "single-bit faults never simulate under SECDED");
 }
 
 #[test]
 fn forked_sites_match_cold_runs_unprotected() {
-    let counts = assert_site_equivalence(Protection::None);
-    assert!(counts[3] > 0, "grid exercises silent-corruption sites");
+    for flips in 1..=3 {
+        let (counts, _) = assert_plan_equivalence(Protection::None, flips);
+        assert!(counts[3] > 0, "grid exercises silent {flips}-bit corruption");
+    }
+}
+
+#[test]
+fn multi_bit_plans_match_cold_runs_under_ecc() {
+    for flips in [2, 3] {
+        // SECDED cannot correct more than one flip: every observed
+        // multi-bit plan is replayed, never answered inline.
+        let (counts, errors) = assert_plan_equivalence(Protection::IGpu, flips);
+        assert_eq!(counts[2], 0, "{flips}-bit plans answered as corrected inline");
+        assert!(errors > 0, "grid exercises uncorrectable {flips}-bit plans");
+    }
+}
+
+#[test]
+fn run_plan_rejects_empty_and_multi_cell_plans() {
+    let r = rig(Protection::Penny);
+    let rec = Recording::record(&r.gpu_config, &r.protected, &r.launch, &r.seeded)
+        .expect("record");
+    let inj = Injection { block: 0, warp: 0, lane: 3, reg: 9, bit: 7, after_warp_insts: 8 };
+    let run = |plan: FaultPlan| rec.run_plan(&r.gpu_config, &r.protected, &plan);
+    assert!(matches!(run(FaultPlan::none()), Err(SimError::BadLaunch(_))));
+    for other in [
+        Injection { block: 1, ..inj },
+        Injection { warp: 1, ..inj },
+        Injection { lane: 4, ..inj },
+        Injection { reg: 10, ..inj },
+        Injection { after_warp_insts: 9, ..inj },
+    ] {
+        let plan = FaultPlan { injections: vec![inj, Injection { bit: 8, ..other }] };
+        assert!(matches!(run(plan), Err(SimError::BadLaunch(_))), "{other:?}");
+    }
+    assert!(run(adjacent_flips(inj, 3)).is_ok(), "a same-cell plan is accepted");
 }
 
 #[test]
@@ -206,75 +255,12 @@ fn simulated_sites_include_spliced_and_memoizable_runs() {
 }
 
 #[test]
-fn run_to_region_then_resume_is_bit_identical() {
-    let r = rig(Protection::Penny);
-    assert!(!r.protected.regions.is_empty(), "penny compile forms regions");
-    let region = r.protected.regions[r.protected.regions.len() / 2].id;
-
-    let mut gpu = Gpu::new(r.gpu_config.clone());
-    *gpu.global_mut() = r.seeded.fork();
-    let snap = gpu.run_to_region(&r.protected, &r.launch, region).expect("snapshot");
-    assert_eq!(snap.region(), region);
-    assert!(gpu.global().contents_eq(&r.seeded), "run_to_region must not mutate");
-
-    // Fault-free resume == plain run.
-    let stats = gpu.resume_from(&r.protected, &snap, FaultPlan::none()).expect("resume");
-    let (plain_stats, plain_global) = cold(&r, FaultPlan::none()).expect("plain");
-    assert_eq!(stats, plain_stats);
-    assert_eq!(*gpu.global(), plain_global);
-
-    // Faulty resumes == from-scratch faulty runs, for triggers at or
-    // after the checkpoint (the flip had not yet fired when captured).
-    let mut exercised = 0;
-    for reg in [9u32, 10, 13] {
-        for after in [snap.stats().warp_instructions / 2, 25, 60] {
-            let inj = Injection {
-                block: 0,
-                warp: 0,
-                lane: 3,
-                reg,
-                bit: 7,
-                after_warp_insts: after,
-            };
-            let plan = FaultPlan::single(inj);
-            let resumed = gpu.resume_from(&r.protected, &snap, plan.clone());
-            match (resumed, cold(&r, plan)) {
-                (Ok(rs), Ok((cs, cg))) => {
-                    assert_eq!(rs, cs, "resume stats diverge at {inj:?}");
-                    assert_eq!(*gpu.global(), cg, "resume memory diverges at {inj:?}");
-                    exercised += 1;
-                }
-                (Err(re), Err(ce)) => assert_eq!(re, ce),
-                (a, b) => panic!("shape diverges at {inj:?}: {a:?} vs {b:?}"),
-            }
-        }
-    }
-    assert!(exercised > 0);
-}
-
-#[test]
-fn recording_and_run_to_region_reject_fault_plans() {
+fn recordings_reject_fault_plans() {
     let r = rig(Protection::Penny);
     let inj = Injection { block: 0, warp: 0, lane: 0, reg: 9, bit: 3, after_warp_insts: 5 };
     let faulty = r.launch.clone().with_faults(FaultPlan::single(inj));
     assert!(matches!(
         Recording::record(&r.gpu_config, &r.protected, &faulty, &r.seeded),
         Err(SimError::BadLaunch(_))
-    ));
-    let gpu = Gpu::new(r.gpu_config.clone());
-    assert!(matches!(
-        gpu.run_to_region(&r.protected, &faulty, r.protected.regions[0].id),
-        Err(SimError::BadLaunch(_))
-    ));
-}
-
-#[test]
-fn run_to_region_reports_unentered_regions() {
-    let r = rig(Protection::Penny);
-    let gpu = Gpu::new(r.gpu_config.clone());
-    let missing = penny_ir::RegionId(9999);
-    assert!(matches!(
-        gpu.run_to_region(&r.protected, &r.launch, missing),
-        Err(SimError::BadMetadata(_))
     ));
 }

@@ -34,6 +34,10 @@
 #      static/dynamic disagreements), and the prune-rate floor
 #      (penny-eval vulnerability --min-prune: at least 50% of the MT
 #      fault space must be statically answered);
+#   6d. the multi-bit campaign suite (penny_bench::campaign): the
+#      `penny-eval multibit` and `errorrate` tables byte-pinned, every
+#      run booked in exactly one of benign / recovered / DUE / SDC, and
+#      no SDC or DUE where the detector covers the flip weight;
 #   7. the observability layer: the unit tests of the JSON codec
 #      (penny_obs::json), the span-schema validator and the
 #      shard-report round trip (penny_bench::json); penny-prof over all
@@ -130,6 +134,9 @@ cargo run -q --release -p penny-bench --bin penny-eval -- \
 echo "==> static vulnerability: prune-rate floor (MT >= 50% classified)"
 cargo run -q --release -p penny-bench --bin penny-eval -- \
     vulnerability --min-prune 0.5 > /dev/null
+
+echo "==> campaign: multi-bit tables byte-pinned, DUE kept apart from SDC"
+cargo test -q -p penny-bench --lib campaign
 
 echo "==> observability: JSON codec, span schema, report round trip"
 cargo test -q -p penny-obs
