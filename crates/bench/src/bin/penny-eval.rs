@@ -323,6 +323,12 @@ struct ConformanceArgs<'a> {
     report_json: Option<&'a str>,
 }
 
+/// Sites a sweep answered per wall second: the replayed (covered) and
+/// the statically pruned alike.
+fn answered_per_s(r: &conformance::ConformanceReport, wall: f64) -> f64 {
+    (r.covered + r.pruned_static) as f64 / wall.max(1e-9)
+}
+
 /// `conformance`: deep sweep through the snapshot/replay engine, one
 /// shard of the sample-position partition per invocation. Returns
 /// whether any site failed (the caller exits nonzero *after* the
@@ -351,14 +357,14 @@ fn conformance_cmd(a: &ConformanceArgs) -> bool {
         print!("{}", conformance::render_report(&r));
         println!(
             "       work: {} forks, {} snapshots, {} pages copied, {} insts replayed \
-             ({} cold)  [{:.2}s, {:.0} sites/s]",
+             ({} cold)  [{:.2}s, {:.0} answered/s]",
             r.work.forks,
             r.work.snapshots,
             r.work.pages_copied,
             r.work.replayed_insts,
             r.work.cold_insts,
             wall,
-            r.covered as f64 / wall.max(1e-9)
+            answered_per_s(&r, wall)
         );
         failed |= !r.failures.is_empty() || r.static_disagreements > 0;
         reports.push(r);
@@ -456,11 +462,11 @@ fn conformance_exhaustive(shard: Shard, mode: StaticMode) {
         assert_eq!(r.skipped, 0, "exhaustive sweep must answer every site");
         print!("{}", conformance::render_report(&r));
         println!(
-            "       work: {} forks over {} covered sites  [{:.2}s, {:.0} sites/s]",
+            "       work: {} forks over {} covered sites  [{:.2}s, {:.0} answered/s]",
             r.work.forks,
             r.covered,
             wall,
-            r.covered as f64 / wall.max(1e-9)
+            answered_per_s(&r, wall)
         );
         if !r.failures.is_empty() || r.static_disagreements > 0 {
             std::process::exit(1);

@@ -23,7 +23,9 @@
 //! counters under SECDED, a forked replay of just the victim's wave
 //! otherwise — and sites whose replays are provably bit-identical
 //! (same victim cell, same first observing read) are grouped so one
-//! replay answers the whole group. The determinism contract (forked ==
+//! replay answers the whole group. The sites of one cell and trigger
+//! that differ only in the flipped bit are classified together, once
+//! (see `classify_range`). The determinism contract (forked ==
 //! from-scratch, bit for bit) is pinned by
 //! `crates/sim/tests/snapshot_replay.rs` and the bench-level
 //! equivalence suite.
@@ -46,6 +48,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use penny_analysis::{RfModel, StaticSiteClass, VulnerabilityMap};
@@ -266,8 +269,24 @@ impl Shard {
         Ok(Shard { index, count })
     }
 
+    #[cfg(test)]
     fn owns(&self, pos: u64) -> bool {
         pos % self.count as u64 == self.index as u64
+    }
+
+    /// How many positions of `range` this shard owns, in closed form.
+    fn owned_in(&self, range: &Range<u64>) -> u64 {
+        let (n, i) = (self.count as u64, self.index as u64);
+        // Owned positions below `x`: the `p < x` with `p % n == i`.
+        let below = |x: u64| (x + n - 1 - i) / n;
+        below(range.end) - below(range.start)
+    }
+
+    /// The owned positions of `range`, ascending.
+    fn owned(&self, range: Range<u64>) -> impl Iterator<Item = u64> {
+        let n = self.count as u64;
+        let first = range.start + (self.index as u64 + n - range.start % n) % n;
+        (first..range.end).step_by(n as usize)
     }
 }
 
@@ -791,6 +810,7 @@ struct Group {
 }
 
 /// Per-chunk classification output.
+#[derive(Default)]
 struct ChunkClass {
     covered: u64,
     classes: SiteClassCounts,
@@ -805,6 +825,145 @@ struct ChunkClass {
     disagreement_count: u64,
     /// Lowest-position disagreements (capped).
     disagreements: Vec<(u64, String)>,
+}
+
+impl ChunkClass {
+    /// Adds `members` sites, the first of them `rep` at the ascending
+    /// `positions`, to the replay group `key`.
+    fn join(
+        &mut self,
+        index_of: &mut HashMap<GroupKey, usize>,
+        key: GroupKey,
+        rep: Injection,
+        members: u64,
+        positions: impl Iterator<Item = u64>,
+    ) {
+        let gi = *index_of.entry(key).or_insert_with(|| {
+            self.groups.push((key, Group { rep, members: 0, positions: Vec::new() }));
+            self.groups.len() - 1
+        });
+        let g = &mut self.groups[gi].1;
+        g.members += members;
+        let room = MAX_REPORTED_FAILURES - g.positions.len();
+        g.positions.extend(positions.take(room));
+    }
+}
+
+/// The vulnerability map a static mode consults (`None` when off).
+fn static_map(p: &Prepared, mode: StaticMode) -> Option<&VulnerabilityMap> {
+    match mode {
+        StaticMode::Off => None,
+        _ => Some(p.protected.vulnerability.as_ref().expect(
+            "static conformance modes compile with the vulnerability analysis enabled",
+        )),
+    }
+}
+
+/// Phase 1 of a sweep over the sample positions in `range`: classify
+/// every owned site. Analytic classes are answered on the spot,
+/// simulated sites collapse into replay-equivalence groups.
+///
+/// A protected RF checks a register when it is read, so a flip is
+/// detected (parity) or corrected (SECDED) before its value is used:
+/// neither the static claim, nor the site class, nor the memo key
+/// depends on which bit flipped, and the bit is a site index's
+/// innermost digit. An exhaustive sequence is therefore walked in runs
+/// of consecutive positions that share one (block, warp, lane, trigger,
+/// reg) cell — at most `space.bits` long, cut at the range ends — and
+/// each run is answered once, its owned-position count added to every
+/// counter. Only the positions a report keeps are materialised, each
+/// with its own bit. An unprotected RF observes the flipped value, so
+/// there every bit keys its own replay group. A sampled sequence is
+/// walked in runs of one.
+fn classify_range(
+    p: &Prepared,
+    seq: &SiteSeq,
+    shard: Shard,
+    mode: StaticMode,
+    model: RfModel,
+    range: Range<u64>,
+) -> ChunkClass {
+    let vmap = static_map(p, mode);
+    let run_len = match seq {
+        SiteSeq::Exhaustive(_) => p.space.bits.max(1) as u64,
+        SiteSeq::Sampled(_) => 1,
+    };
+    let per_bit_groups = p.gpu_config.rf == RfProtection::None;
+    let site_at = |pos: u64| p.space.site(seq.index_at(pos));
+    let mut out = ChunkClass::default();
+    let mut index_of: HashMap<GroupKey, usize> = HashMap::new();
+    let mut start = range.start;
+    while start < range.end {
+        let run = start..((start / run_len + 1) * run_len).min(range.end);
+        start = run.end;
+        let owned = shard.owned_in(&run);
+        if owned == 0 {
+            continue;
+        }
+        let owned_positions = || shard.owned(run.clone());
+        let inj = site_at(owned_positions().next().expect("an owned position"));
+        // Static classification first: a claimed run is either
+        // answered on the spot (Prune) or cross-examined against the
+        // dynamic classifier (Validate).
+        let claim = match vmap {
+            None => StaticSiteClass::Unknown,
+            Some(m) => match p.recording.static_point(&inj) {
+                Some(pc) => m.classify(pc, inj.reg, model),
+                None => StaticSiteClass::Unknown,
+            },
+        };
+        if mode == StaticMode::Prune && claim != StaticSiteClass::Unknown {
+            match claim {
+                StaticSiteClass::StaticDead => out.pruned.dead += owned,
+                StaticSiteClass::StaticOverwritten => out.pruned.overwritten += owned,
+                StaticSiteClass::StaticCovered => out.pruned.covered += owned,
+                StaticSiteClass::Unknown => unreachable!(),
+            }
+            continue;
+        }
+        out.covered += owned;
+        let dynamic = p.recording.site_class(&inj);
+        if mode == StaticMode::Validate && claim != StaticSiteClass::Unknown {
+            out.static_checked += owned;
+            if !static_claim_holds(claim, dynamic, model) {
+                out.disagreement_count += owned;
+                let room = MAX_REPORTED_FAILURES - out.disagreements.len();
+                for pos in owned_positions().take(room) {
+                    let site = site_at(pos);
+                    out.disagreements.push((
+                        pos,
+                        format!(
+                            "static {claim} contradicted by dynamic {dynamic:?} at \
+                             {site:?}"
+                        ),
+                    ));
+                }
+            }
+        }
+        match dynamic {
+            SiteClass::NeverFires => out.classes.never_fires += owned,
+            SiteClass::Invisible => out.classes.invisible += owned,
+            SiteClass::CorrectedInline => out.classes.corrected_inline += owned,
+            SiteClass::Simulated if per_bit_groups => {
+                out.classes.simulated += owned;
+                for pos in owned_positions() {
+                    let site = site_at(pos);
+                    let key = p
+                        .recording
+                        .memo_key(&site)
+                        .expect("simulated sites have memo keys");
+                    out.join(&mut index_of, key, site, 1, std::iter::once(pos));
+                }
+            }
+            SiteClass::Simulated => {
+                out.classes.simulated += owned;
+                let key =
+                    p.recording.memo_key(&inj).expect("simulated sites have memo keys");
+                out.join(&mut index_of, key, inj, owned, owned_positions());
+            }
+        }
+    }
+    out
 }
 
 /// Runs the conformance harness for one (workload, scheme) pair with a
@@ -891,96 +1050,15 @@ fn run_prepared(
     let seq = p.space.sequence(budget);
     let positions = seq.len();
     let model = rf_model(scheme.rf());
-    let vmap: Option<&VulnerabilityMap> = match mode {
-        StaticMode::Off => None,
-        _ => Some(p.protected.vulnerability.as_ref().expect(
-            "static conformance modes compile with the vulnerability analysis enabled",
-        )),
-    };
 
     // Phase 1 — classify every owned site (parallel over position
-    // chunks): analytic classes are answered on the spot, simulated
-    // sites collapse into replay-equivalence groups.
+    // chunks).
     let chunk_bounds: Vec<(u64, u64)> = (0..positions)
         .step_by(CHUNK as usize)
         .map(|s| (s, (s + CHUNK).min(positions)))
         .collect();
     let chunked = parallel_map(&chunk_bounds, |&(start, end)| {
-        let mut out = ChunkClass {
-            covered: 0,
-            classes: SiteClassCounts::default(),
-            groups: Vec::new(),
-            pruned: StaticPruneCounts::default(),
-            static_checked: 0,
-            disagreement_count: 0,
-            disagreements: Vec::new(),
-        };
-        let mut index_of: HashMap<(u32, u32, u32, u32, u32, u64), usize> = HashMap::new();
-        for pos in start..end {
-            if !shard.owns(pos) {
-                continue;
-            }
-            let inj = p.space.site(seq.index_at(pos));
-            // Static classification first: a claimed site is either
-            // answered on the spot (Prune) or cross-examined against
-            // the dynamic classifier (Validate).
-            let claim = match vmap {
-                None => StaticSiteClass::Unknown,
-                Some(m) => match p.recording.static_point(&inj) {
-                    Some(pc) => m.classify(pc, inj.reg, model),
-                    None => StaticSiteClass::Unknown,
-                },
-            };
-            if mode == StaticMode::Prune && claim != StaticSiteClass::Unknown {
-                match claim {
-                    StaticSiteClass::StaticDead => out.pruned.dead += 1,
-                    StaticSiteClass::StaticOverwritten => out.pruned.overwritten += 1,
-                    StaticSiteClass::StaticCovered => out.pruned.covered += 1,
-                    StaticSiteClass::Unknown => unreachable!(),
-                }
-                continue;
-            }
-            out.covered += 1;
-            let dynamic = p.recording.site_class(&inj);
-            if mode == StaticMode::Validate && claim != StaticSiteClass::Unknown {
-                out.static_checked += 1;
-                if !static_claim_holds(claim, dynamic, model) {
-                    out.disagreement_count += 1;
-                    if out.disagreements.len() < MAX_REPORTED_FAILURES {
-                        out.disagreements.push((
-                            pos,
-                            format!(
-                                "static {claim} contradicted by dynamic {dynamic:?} at \
-                                 {inj:?}"
-                            ),
-                        ));
-                    }
-                }
-            }
-            match dynamic {
-                SiteClass::NeverFires => out.classes.never_fires += 1,
-                SiteClass::Invisible => out.classes.invisible += 1,
-                SiteClass::CorrectedInline => out.classes.corrected_inline += 1,
-                SiteClass::Simulated => {
-                    out.classes.simulated += 1;
-                    let key =
-                        p.recording.memo_key(&inj).expect("simulated sites have memo keys");
-                    let gi = *index_of.entry(key).or_insert_with(|| {
-                        out.groups.push((
-                            key,
-                            Group { rep: inj, members: 0, positions: Vec::new() },
-                        ));
-                        out.groups.len() - 1
-                    });
-                    let g = &mut out.groups[gi].1;
-                    g.members += 1;
-                    if g.positions.len() < MAX_REPORTED_FAILURES {
-                        g.positions.push(pos);
-                    }
-                }
-            }
-        }
-        out
+        classify_range(&p, &seq, shard, mode, model, start..end)
     });
 
     // Merge chunks in position order: group representatives keep the
@@ -991,8 +1069,8 @@ fn run_prepared(
     let mut static_checked = 0u64;
     let mut static_disagreements = 0u64;
     let mut disagreements: Vec<(u64, String)> = Vec::new();
-    let mut order: Vec<(u32, u32, u32, u32, u32, u64)> = Vec::new();
-    let mut merged: HashMap<(u32, u32, u32, u32, u32, u64), Group> = HashMap::new();
+    let mut order: Vec<GroupKey> = Vec::new();
+    let mut merged: HashMap<GroupKey, Group> = HashMap::new();
     for chunk in chunked {
         covered += chunk.covered;
         classes.add(&chunk.classes);
@@ -1631,6 +1709,170 @@ mod tests {
                 assert_eq!(cold, forked, "{abbr}/{scheme:?}: verdicts diverge at {inj:?}");
             }
             assert!(simulated > 0, "{abbr}/{scheme:?}: sample never simulated");
+        }
+    }
+
+    /// The per-site reference for [`classify_range`]: one static claim,
+    /// one class and one memo key per owned position.
+    fn classify_range_per_site(
+        p: &Prepared,
+        seq: &SiteSeq,
+        shard: Shard,
+        mode: StaticMode,
+        model: RfModel,
+        range: Range<u64>,
+    ) -> ChunkClass {
+        let vmap = static_map(p, mode);
+        let mut out = ChunkClass::default();
+        let mut index_of: HashMap<GroupKey, usize> = HashMap::new();
+        for pos in range {
+            if !shard.owns(pos) {
+                continue;
+            }
+            let inj = p.space.site(seq.index_at(pos));
+            let claim = match vmap {
+                None => StaticSiteClass::Unknown,
+                Some(m) => match p.recording.static_point(&inj) {
+                    Some(pc) => m.classify(pc, inj.reg, model),
+                    None => StaticSiteClass::Unknown,
+                },
+            };
+            if mode == StaticMode::Prune && claim != StaticSiteClass::Unknown {
+                match claim {
+                    StaticSiteClass::StaticDead => out.pruned.dead += 1,
+                    StaticSiteClass::StaticOverwritten => out.pruned.overwritten += 1,
+                    StaticSiteClass::StaticCovered => out.pruned.covered += 1,
+                    StaticSiteClass::Unknown => unreachable!(),
+                }
+                continue;
+            }
+            out.covered += 1;
+            let dynamic = p.recording.site_class(&inj);
+            if mode == StaticMode::Validate && claim != StaticSiteClass::Unknown {
+                out.static_checked += 1;
+                if !static_claim_holds(claim, dynamic, model) {
+                    out.disagreement_count += 1;
+                    if out.disagreements.len() < MAX_REPORTED_FAILURES {
+                        out.disagreements.push((
+                            pos,
+                            format!(
+                                "static {claim} contradicted by dynamic {dynamic:?} at \
+                                 {inj:?}"
+                            ),
+                        ));
+                    }
+                }
+            }
+            match dynamic {
+                SiteClass::NeverFires => out.classes.never_fires += 1,
+                SiteClass::Invisible => out.classes.invisible += 1,
+                SiteClass::CorrectedInline => out.classes.corrected_inline += 1,
+                SiteClass::Simulated => {
+                    out.classes.simulated += 1;
+                    let key =
+                        p.recording.memo_key(&inj).expect("simulated sites have memo keys");
+                    out.join(&mut index_of, key, inj, 1, std::iter::once(pos));
+                }
+            }
+        }
+        out
+    }
+
+    /// Field-by-field equality of two phase-1 outputs.
+    fn assert_same_classification(cell: &ChunkClass, site: &ChunkClass, ctx: &str) {
+        assert_eq!(cell.covered, site.covered, "{ctx}: covered");
+        assert_eq!(cell.classes, site.classes, "{ctx}: classes");
+        assert_eq!(cell.pruned, site.pruned, "{ctx}: pruned");
+        assert_eq!(cell.static_checked, site.static_checked, "{ctx}: static_checked");
+        assert_eq!(
+            cell.disagreement_count, site.disagreement_count,
+            "{ctx}: disagreements"
+        );
+        assert_eq!(cell.disagreements, site.disagreements, "{ctx}: disagreement list");
+        assert_eq!(cell.groups.len(), site.groups.len(), "{ctx}: group count");
+        for ((ck, cg), (sk, sg)) in cell.groups.iter().zip(&site.groups) {
+            assert_eq!(ck, sk, "{ctx}: group key");
+            assert_eq!(cg.rep, sg.rep, "{ctx}: representative of {sk:?}");
+            assert_eq!(cg.members, sg.members, "{ctx}: members of {sk:?}");
+            assert_eq!(cg.positions, sg.positions, "{ctx}: positions of {sk:?}");
+        }
+    }
+
+    #[test]
+    fn owned_count_is_the_brute_force_count() {
+        for count in 1..=7u32 {
+            for index in 0..count {
+                let shard = Shard { index, count };
+                for start in 0..24u64 {
+                    for end in start..48 {
+                        let brute: Vec<u64> =
+                            (start..end).filter(|&p| shard.owns(p)).collect();
+                        assert_eq!(shard.owned_in(&(start..end)), brute.len() as u64);
+                        assert_eq!(shard.owned(start..end).collect::<Vec<_>>(), brute);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cell_walk_equals_the_per_site_walk() {
+        let shards =
+            [Shard::full(), Shard { index: 1, count: 3 }, Shard { index: 4, count: 7 }];
+        let (mut groups, mut pruned, mut checked) = (0usize, 0u64, 0u64);
+        for scheme in [SchemeId::Penny, SchemeId::Baseline, SchemeId::IGpu] {
+            let p = prepare("MT", scheme, true);
+            let model = rf_model(scheme.rf());
+            let total = p.space.total();
+            let bits = p.space.bits as u64;
+            let exhaustive = p.space.sequence(u64::MAX);
+            let sampled = p.space.sequence(5_000);
+            assert!(matches!(exhaustive, SiteSeq::Exhaustive(_)));
+            assert!(matches!(sampled, SiteSeq::Sampled(_)));
+            // Every range but the sampled one starts and ends mid-cell.
+            let cases = [
+                (&exhaustive, 17..20 * bits + 5),
+                (&exhaustive, total / 2 + 3..total / 2 + 700 * bits - 1),
+                (&exhaustive, total - 900 * bits + 1..total - 2),
+                (&sampled, 0..sampled.len()),
+            ];
+            for mode in [StaticMode::Off, StaticMode::Prune, StaticMode::Validate] {
+                for shard in shards {
+                    for (seq, range) in &cases {
+                        let ctx = format!("{scheme:?} {mode:?} {shard:?} {range:?}");
+                        let cell =
+                            classify_range(&p, seq, shard, mode, model, range.clone());
+                        let site = classify_range_per_site(
+                            &p,
+                            seq,
+                            shard,
+                            mode,
+                            model,
+                            range.clone(),
+                        );
+                        assert_same_classification(&cell, &site, &ctx);
+                        groups += cell.groups.len();
+                        pruned += cell.pruned.total();
+                        checked += cell.static_checked;
+                    }
+                }
+            }
+        }
+        assert!(groups > 0 && pruned > 0 && checked > 0, "{groups} {pruned} {checked}");
+
+        // SECDED claims on the parity recording: read-first sites are
+        // claimed corrected inline but replayed, so every claimed read
+        // disagrees and the disagreement list fills up.
+        let p = prepare("MT", SchemeId::Penny, true);
+        let seq = p.space.sequence(u64::MAX);
+        for shard in shards {
+            let range = 5..seq.len() / 4 + 11;
+            let (mode, model) = (StaticMode::Validate, RfModel::SecdedEcc);
+            let cell = classify_range(&p, &seq, shard, mode, model, range.clone());
+            let site = classify_range_per_site(&p, &seq, shard, mode, model, range);
+            assert_same_classification(&cell, &site, &format!("SECDED claims {shard:?}"));
+            assert_eq!(cell.disagreements.len(), MAX_REPORTED_FAILURES);
+            assert!(cell.disagreement_count > MAX_REPORTED_FAILURES as u64);
         }
     }
 

@@ -9,6 +9,7 @@ use penny_bench::conformance::{
     merge_reports, render_report, run_conformance, run_conformance_sharded,
     run_conformance_static, run_conformance_static_sharded, MergeError, Shard, StaticMode,
 };
+use penny_bench::json::report_to_json;
 use penny_bench::SchemeId;
 
 /// Asserts a clean report and returns it (printing coverage counts so
@@ -253,6 +254,30 @@ fn static_validation_is_vacuous_only_for_covered_claims_on_baseline() {
     assert_eq!(r.static_disagreements, 0, "{:?}", r.disagreements);
 }
 
+/// Exhaustive static-prune sweeps split 2, 4 and 7 ways merge into the
+/// unsharded report byte for byte. Shard ownership interleaves sample
+/// positions, so every split cuts every cell across shards.
+#[test]
+fn sharded_exhaustive_static_prune_sweeps_merge_byte_identically() {
+    let full = run_conformance_static("MT", SchemeId::Penny, u64::MAX, StaticMode::Prune);
+    assert_eq!(full.skipped, 0);
+    for count in [2u32, 4, 7] {
+        let shards: Vec<_> = (0..count)
+            .map(|index| {
+                run_conformance_static_sharded(
+                    "MT",
+                    SchemeId::Penny,
+                    u64::MAX,
+                    StaticMode::Prune,
+                    Shard { index, count },
+                )
+            })
+            .collect();
+        let merged = merge_reports(&shards).expect("merge");
+        assert_eq!(report_to_json(&merged), report_to_json(&full), "{count} shards");
+    }
+}
+
 /// Sharded static-prune runs must merge bit-identically into the
 /// unsharded report, pruning buckets included.
 #[test]
@@ -282,16 +307,11 @@ fn sharded_static_prune_reports_merge_byte_identically() {
 }
 
 /// The static-pruning acceptance run recorded in `EXPERIMENTS.md`: the
-/// full SGEMM/BoltGlobal fault space (~577M sites, previously
-/// sample-only) swept exhaustively with static pruning on — every site
-/// either statically answered or replayed to recovery. Run with
-///
-/// ```text
-/// cargo test --release -p penny-bench --test conformance -- \
-///     --ignored exhaustive_sgemm --nocapture
-/// ```
+/// full SGEMM/BoltGlobal fault space (576,761,856 sites) swept
+/// exhaustively with static pruning on — every site either statically
+/// answered or replayed to recovery. Each cell is answered once for all
+/// its bits, which makes the sweep cheap enough to run with the suite.
 #[test]
-#[ignore = "exhaustive 577M-site sweep; run explicitly in release mode"]
 fn exhaustive_sgemm_bolt_global_with_static_prune() {
     let r =
         run_conformance_static("SGEMM", SchemeId::BoltGlobal, u64::MAX, StaticMode::Prune);
@@ -319,4 +339,26 @@ fn conformance_deep_sweep() {
             assert_clean(abbr, scheme, 2000);
         }
     }
+}
+
+/// The exhaustive MT/Penny static-prune sweep, pinned as JSON: every
+/// count, bucket and work counter of the report, byte for byte. The
+/// static layer answers most of the space, nothing is replayed.
+#[test]
+fn exhaustive_mt_static_prune_report_bytes_are_pinned() {
+    let r = run_conformance_static("MT", SchemeId::Penny, u64::MAX, StaticMode::Prune);
+    assert_eq!(
+        report_to_json(&r),
+        concat!(
+            r#"{"workload":"MT","variant":"Penny","space":{"blocks":4,"warps":2,"#,
+            r#""lanes":32,"triggers":27,"regs":23,"bits":33},"total":5246208,"#,
+            r#""covered":194304,"skipped":0,"pruned_static":5051904,"#,
+            r#""static_prune":{"dead":1664256,"overwritten":2272512,"covered":1115136},"#,
+            r#""static_checked":0,"static_disagreements":0,"disagreements":[],"#,
+            r#""recovered":194304,"classes":{"never_fires":194304,"invisible":0,"#,
+            r#""corrected_inline":0,"simulated":0,"spliced":0},"work":{"snapshots":12,"#,
+            r#""forks":0,"replayed_insts":0,"cold_insts":41969664,"pages_copied":0},"#,
+            r#""shard":[0,1],"failures":[]}"#,
+        )
+    );
 }

@@ -36,6 +36,10 @@
 //! * the decoded program and the block→wave index are rebuilt from the
 //!   `Protected` artifact and the wave list instead of being stored
 //!   (both are deterministic functions of them).
+//!
+//! Warp traces are written in (block, warp) order, each behind its key,
+//! which is the order of the recording's dense per-warp table; the
+//! loader rejects a key out of range, repeated or out of order.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -51,7 +55,9 @@ use crate::engine::{BlockCtx, LaunchConfig, RunStats, ThreadCtx, WaveState};
 use crate::memory::{GlobalMemory, SharedMemory, PAGE_WORDS};
 use crate::program::Program;
 use crate::regfile::{RegFile, RfStats};
-use crate::snapshot::{Access, Recording, RecordingCounters, Snap, WarpTrace, WaveRec};
+use crate::snapshot::{
+    block_waves, Access, Recording, RecordingCounters, Snap, WarpTrace, WaveRec,
+};
 use crate::warp::{StackEntry, Warp, WarpSnapshot};
 
 /// File magic: "Penny RECording".
@@ -573,13 +579,11 @@ impl Recording {
             }
         }
 
-        let mut keys: Vec<(u32, u32)> = self.accesses.keys().copied().collect();
-        keys.sort_unstable();
-        put_u64(&mut body, keys.len() as u64);
-        for k in keys {
-            put_u32(&mut body, k.0);
-            put_u32(&mut body, k.1);
-            put_trace(&mut body, &self.accesses[&k]);
+        put_u64(&mut body, self.traces.len() as u64);
+        for (s, tr) in self.warp_streams().zip(&self.traces) {
+            put_u32(&mut body, s.block);
+            put_u32(&mut body, s.warp);
+            put_trace(&mut body, tr);
         }
 
         put_global(&mut body, &mut table, &self.final_global);
@@ -677,8 +681,7 @@ impl Recording {
         let num_sms = config.num_sms as usize;
         let nwaves = r.len(1)?;
         let mut waves = Vec::with_capacity(nwaves);
-        let mut block_wave = HashMap::new();
-        for k in 0..nwaves {
+        for _ in 0..nwaves {
             let sm = r.u64()? as usize;
             if sm >= num_sms {
                 return Err(LoadError::ConfigMismatch(format!(
@@ -687,13 +690,6 @@ impl Recording {
             }
             let nblocks = r.len(4)?;
             let blocks = r.u32_vec(nblocks)?;
-            for &b in &blocks {
-                if block_wave.insert(b, k).is_some() {
-                    return Err(LoadError::Malformed(format!(
-                        "block {b} scheduled in two waves"
-                    )));
-                }
-            }
             let stats_before = get_stats(&mut r)?;
             let stats_after = get_stats(&mut r)?;
             let cycles = r.u64()?;
@@ -721,14 +717,32 @@ impl Recording {
             });
         }
 
+        let block_wave = block_waves(&waves).map_err(|b| {
+            LoadError::Malformed(format!(
+                "block {b} out of range or scheduled in two waves"
+            ))
+        })?;
+
+        // One trace per scheduled (block, warp), written in the dense
+        // table's order: the table is sized by the length-checked count,
+        // and a key out of range, repeated or out of order is rejected.
         let ntraces = r.len(8)?;
-        let mut accesses = HashMap::with_capacity(ntraces);
-        for _ in 0..ntraces {
+        let wpb = warps_per_block as usize;
+        if ntraces as u64 != (block_wave.len() as u64).saturating_mul(wpb as u64) {
+            return Err(LoadError::Malformed(format!(
+                "{ntraces} warp traces for {} blocks of {wpb} warps",
+                block_wave.len()
+            )));
+        }
+        let mut traces = Vec::with_capacity(ntraces);
+        for i in 0..ntraces {
             let key = (r.u32()?, r.u32()?);
-            let trace = get_trace(&mut r, num_regs)?;
-            if accesses.insert(key, trace).is_some() {
-                return Err(LoadError::Malformed(format!("duplicate warp trace {key:?}")));
+            if key != ((i / wpb) as u32, (i % wpb) as u32) {
+                return Err(LoadError::Malformed(format!(
+                    "warp trace {key:?} out of place"
+                )));
             }
+            traces.push(get_trace(&mut r, num_regs)?);
         }
 
         let final_global = get_global(&mut r, &pages)?;
@@ -741,7 +755,7 @@ impl Recording {
             program,
             waves,
             block_wave,
-            accesses,
+            traces,
             num_regs,
             warps_per_block,
             final_stats,
@@ -793,6 +807,47 @@ mod tests {
             .err()
             .expect("truncated header must fail");
         assert_eq!(err, LoadError::Truncated);
+    }
+
+    #[test]
+    fn out_of_range_and_duplicate_trace_keys_are_malformed() {
+        let config = GpuConfig::fermi();
+        let kernel =
+            penny_ir::parse_kernel(".kernel f\nentry:\n mov.u32 %r0, %tid.x\n ret\n")
+                .expect("parse");
+        let protected = Protected::passthrough(kernel);
+        let launch = LaunchConfig::new(LaunchDims::linear(2, 64), Vec::new());
+        let rec = Recording::record(&config, &protected, &launch, &GlobalMemory::new())
+            .expect("record");
+        let wpb = rec.warps_per_block;
+        assert_eq!((rec.traces.len(), wpb), (4, 2));
+        let bytes = rec.serialize(1);
+        // Trace `i`'s key is the (block, warp) pair right before its
+        // final count, width and cell count.
+        let key_at = |i: usize| {
+            let tr = &rec.traces[i];
+            let mut pat = Vec::new();
+            put_u32(&mut pat, i as u32 / wpb);
+            put_u32(&mut pat, i as u32 % wpb);
+            put_u64(&mut pat, tr.final_executed);
+            put_u32(&mut pat, tr.width);
+            put_u64(&mut pat, tr.num_cells() as u64);
+            bytes.windows(pat.len()).position(|w| w == pat).expect("trace key")
+        };
+        for (i, key) in [(0, (0, wpb)), (0, (2, 0)), (1, (0, 0)), (3, (u32::MAX, 1))] {
+            let mut bad = bytes.clone();
+            let at = key_at(i);
+            bad[at..at + 4].copy_from_slice(&key.0.to_le_bytes());
+            bad[at + 4..at + 8].copy_from_slice(&key.1.to_le_bytes());
+            let err = Recording::deserialize(&bad, 1, &config, &protected)
+                .err()
+                .expect("a bad trace key must be rejected");
+            assert!(
+                matches!(err, LoadError::Malformed(_)),
+                "trace {i} as {key:?}: {err:?}"
+            );
+        }
+        assert!(Recording::deserialize(&bytes, 1, &config, &protected).is_ok());
     }
 
     #[test]

@@ -58,8 +58,6 @@
 //! Global memory is forked copy-on-write ([`GlobalMemory::fork`]), so
 //! each site pays O(pages it actually dirties), not O(heap).
 
-use std::collections::HashMap;
-
 use penny_core::Protected;
 
 use crate::config::{GpuConfig, RfProtection};
@@ -301,8 +299,10 @@ pub struct Recording {
     pub(crate) program: Program,
     pub(crate) waves: Vec<WaveRec>,
     /// Linear block index -> position in `waves`.
-    pub(crate) block_wave: HashMap<u32, usize>,
-    pub(crate) accesses: HashMap<(u32, u32), WarpTrace>,
+    pub(crate) block_wave: Vec<usize>,
+    /// Every warp's access trace, indexed densely by
+    /// `block * warps_per_block + warp` (see [`Recording::trace`]).
+    pub(crate) traces: Vec<WarpTrace>,
     pub(crate) num_regs: usize,
     pub(crate) warps_per_block: u32,
     pub(crate) final_stats: RunStats,
@@ -315,9 +315,12 @@ pub struct Recording {
 struct WaveRecorder<'p> {
     program: &'p Program,
     num_regs: usize,
+    warps_per_block: usize,
     /// Linear block indices of this wave.
     blocks: Vec<u32>,
-    traces: &'p mut HashMap<(u32, u32), TraceBuilder>,
+    /// Trace builders indexed like [`Recording::traces`]; a warp's slot
+    /// is filled on the first cycle of its wave.
+    traces: &'p mut [Option<TraceBuilder>],
     snaps: Vec<Snap>,
     /// Last observed `(snapshot.executed)` per resident warp, to
     /// detect new region entries.
@@ -332,11 +335,13 @@ impl<'p> WaveRecorder<'p> {
         program: &'p Program,
         blocks: &[u32],
         num_regs: usize,
-        traces: &'p mut HashMap<(u32, u32), TraceBuilder>,
+        warps_per_block: usize,
+        traces: &'p mut [Option<TraceBuilder>],
     ) -> WaveRecorder<'p> {
         WaveRecorder {
             program,
             num_regs,
+            warps_per_block,
             blocks: blocks.to_vec(),
             traces,
             snaps: Vec::new(),
@@ -347,10 +352,21 @@ impl<'p> WaveRecorder<'p> {
         }
     }
 
+    /// The index of wave block `bi`'s warp `wi` in `traces`.
+    fn slot(&self, bi: usize, wi: usize) -> usize {
+        self.blocks[bi] as usize * self.warps_per_block + wi
+    }
+
+    /// The builder of wave block `bi`'s warp `wi`.
+    fn builder(&mut self, bi: usize, wi: usize) -> &mut TraceBuilder {
+        let slot = self.slot(bi, wi);
+        self.traces[slot].as_mut().expect("warp trace registered")
+    }
+
     fn push_access(
         &mut self,
-        block: u32,
-        warp: u32,
+        bi: usize,
+        wi: usize,
         lanes: u32,
         reg: u32,
         ev_idx: u64,
@@ -359,13 +375,13 @@ impl<'p> WaveRecorder<'p> {
         if reg == NO_REG || reg as usize >= self.num_regs {
             return;
         }
-        let tr = self.traces.get_mut(&(block, warp)).expect("warp trace registered");
+        let num_regs = self.num_regs;
+        let tr = self.builder(bi, wi);
         let mut m = lanes;
         while m != 0 {
             let lane = m.trailing_zeros() as usize;
             m &= m - 1;
-            tr.cells[lane * self.num_regs + reg as usize]
-                .push(Access { idx: ev_idx, read });
+            tr.cells[lane * num_regs + reg as usize].push(Access { idx: ev_idx, read });
         }
     }
 }
@@ -377,10 +393,9 @@ impl WaveTrace for WaveRecorder<'_> {
             self.started = true;
             for (bi, b) in eng.blocks().iter().enumerate() {
                 for w in &b.warps {
-                    self.traces.insert(
-                        (self.blocks[bi], w.id),
-                        TraceBuilder::new(32 * self.num_regs, w.width),
-                    );
+                    let slot = self.slot(bi, w.id as usize);
+                    self.traces[slot] =
+                        Some(TraceBuilder::new(32 * self.num_regs, w.width));
                     self.last_entry.push(u64::MAX);
                 }
             }
@@ -430,37 +445,50 @@ impl WaveTrace for WaveRecorder<'_> {
     }
 
     fn on_inst(&mut self, ev: TraceEvent) {
-        let block = self.blocks[ev.bi];
-        let warp = {
-            let tr =
-                self.traces.get_mut(&(block, ev.wi as u32)).expect("warp trace registered");
-            tr.final_executed = ev.executed + 1;
-            debug_assert_eq!(tr.pcs.len() as u64, ev.executed, "per-warp event order");
-            tr.pcs.push(ev.pc as u32);
-            tr.masks.push(ev.mask);
-            ev.wi as u32
-        };
+        let (bi, wi) = (ev.bi, ev.wi);
+        let tr = self.builder(bi, wi);
+        tr.final_executed = ev.executed + 1;
+        debug_assert_eq!(tr.pcs.len() as u64, ev.executed, "per-warp event order");
+        tr.pcs.push(ev.pc as u32);
+        tr.masks.push(ev.mask);
         let d = self.program.decoded[ev.pc];
         match d.kind {
             DKind::Branch { pred, .. } => {
-                self.push_access(block, warp, ev.mask, pred, ev.executed, true);
+                self.push_access(bi, wi, ev.mask, pred, ev.executed, true);
             }
             DKind::Ret | DKind::Jump { .. } => {}
             _ => {
                 if d.guard != NO_REG {
-                    self.push_access(block, warp, ev.mask, d.guard, ev.executed, true);
+                    self.push_access(bi, wi, ev.mask, d.guard, ev.executed, true);
                 }
                 for &s in &d.srcs[..d.nsrcs as usize] {
                     if let DSrc::Reg(r) = s {
-                        self.push_access(block, warp, ev.active, r, ev.executed, true);
+                        self.push_access(bi, wi, ev.active, r, ev.executed, true);
                     }
                 }
                 if d.dst != NO_REG {
-                    self.push_access(block, warp, ev.active, d.dst, ev.executed, false);
+                    self.push_access(bi, wi, ev.active, d.dst, ev.executed, false);
                 }
             }
         }
     }
+}
+
+/// The block -> wave index of a wave list, indexed by linear block
+/// index. `Err` names a block that is out of range (the scheduled blocks
+/// are not exactly `0..n`) or scheduled in two waves.
+pub(crate) fn block_waves(waves: &[WaveRec]) -> Result<Vec<usize>, u32> {
+    let scheduled = waves.iter().map(|w| w.blocks.len()).sum();
+    let mut index = vec![usize::MAX; scheduled];
+    for (k, w) in waves.iter().enumerate() {
+        for &b in &w.blocks {
+            match index.get_mut(b as usize) {
+                Some(slot) if *slot == usize::MAX => *slot = k,
+                _ => return Err(b),
+            }
+        }
+    }
+    Ok(index)
 }
 
 /// Fieldwise `base + plus - minus` over every additive counter
@@ -513,20 +541,24 @@ impl Recording {
         let program = Program::new(&protected.kernel);
         let plan = wave_plan(config, protected, launch, &program);
         let num_regs = program.num_regs.max(1);
+        let warps_per_block = launch.dims.threads_per_block().div_ceil(32);
         let mut g = global.fork();
         let mut stats = RunStats::default();
         let mut waves = Vec::new();
-        let mut block_wave = HashMap::new();
-        let mut builders = HashMap::new();
+        let mut builders: Vec<Option<TraceBuilder>> = Vec::new();
+        builders
+            .resize_with(launch.dims.blocks() as usize * warps_per_block as usize, || None);
         let mut sm_cycles = vec![0u64; config.num_sms as usize];
-        for (k, slot) in plan.iter().enumerate() {
-            for &b in &slot.blocks {
-                block_wave.insert(b, k);
-            }
+        for slot in &plan {
             let stats_before = stats;
             let global_start = g.fork();
-            let mut rec =
-                WaveRecorder::new(&program, &slot.blocks, num_regs, &mut builders);
+            let mut rec = WaveRecorder::new(
+                &program,
+                &slot.blocks,
+                num_regs,
+                warps_per_block as usize,
+                &mut builders,
+            );
             let cycles = {
                 let mut eng = SmEngine::for_wave(
                     config,
@@ -551,8 +583,12 @@ impl Recording {
                 snaps: rec.snaps,
             });
         }
-        let accesses =
-            builders.into_iter().map(|(k, b)| (k, b.finish())).collect::<HashMap<_, _>>();
+        let block_wave =
+            block_waves(&waves).expect("the wave plan schedules each block once");
+        let traces = builders
+            .into_iter()
+            .map(|b| b.expect("every scheduled warp is traced").finish())
+            .collect();
         let mut final_stats = stats;
         final_stats.cycles = sm_cycles.iter().copied().max().unwrap_or(0);
         let counters = RecordingCounters {
@@ -566,9 +602,9 @@ impl Recording {
             program,
             waves,
             block_wave,
-            accesses,
+            traces,
             num_regs,
-            warps_per_block: launch.dims.threads_per_block().div_ceil(32),
+            warps_per_block,
             final_stats,
             final_global: g,
             counters,
@@ -596,11 +632,21 @@ impl Recording {
         self.counters
     }
 
+    /// Warp `warp` of block `block`'s access trace: one bounds-checked
+    /// index into the dense table; `None` for a warp the launch does not
+    /// have.
+    fn trace(&self, block: u32, warp: u32) -> Option<&WarpTrace> {
+        if warp >= self.warps_per_block {
+            return None;
+        }
+        self.traces.get(block as usize * self.warps_per_block as usize + warp as usize)
+    }
+
     /// Classifies an injection site against the access trace; returns
     /// the class and, for [`SiteClass::Simulated`], the victim warp's
     /// dynamic index of the first read that observes the flip.
     fn classify(&self, inj: &Injection) -> (SiteClass, Option<u64>) {
-        let Some(tr) = self.accesses.get(&(inj.block, inj.warp)) else {
+        let Some(tr) = self.trace(inj.block, inj.warp) else {
             return (SiteClass::NeverFires, None);
         };
         let t = inj.after_warp_insts;
@@ -635,7 +681,7 @@ impl Recording {
     /// never-firing sites and for lanes outside the mask — those must
     /// be classified dynamically.
     pub fn static_point(&self, inj: &Injection) -> Option<usize> {
-        let tr = self.accesses.get(&(inj.block, inj.warp))?;
+        let tr = self.trace(inj.block, inj.warp)?;
         let t = inj.after_warp_insts;
         if inj.lane >= tr.width
             || t >= tr.final_executed
@@ -659,7 +705,7 @@ impl Recording {
         reg: u32,
         from: u64,
     ) -> Option<(u64, bool)> {
-        let tr = self.accesses.get(&(block, warp))?;
+        let tr = self.trace(block, warp)?;
         if lane >= tr.width || reg as usize >= self.num_regs {
             return None;
         }
@@ -672,17 +718,13 @@ impl Recording {
     /// mask per dynamic instruction), for analytic site accounting and
     /// the static/dynamic agreement oracle.
     pub fn warp_streams(&self) -> impl Iterator<Item = WarpStream<'_>> {
-        let mut keys: Vec<&(u32, u32)> = self.accesses.keys().collect();
-        keys.sort();
-        keys.into_iter().map(|k| {
-            let tr = &self.accesses[k];
-            WarpStream {
-                block: k.0,
-                warp: k.1,
-                width: tr.width,
-                pcs: &tr.pcs,
-                masks: &tr.masks,
-            }
+        // The dense index order is (block, warp) order.
+        self.traces.iter().enumerate().map(|(i, tr)| WarpStream {
+            block: (i / self.warps_per_block as usize) as u32,
+            warp: (i % self.warps_per_block as usize) as u32,
+            width: tr.width,
+            pcs: &tr.pcs,
+            masks: &tr.masks,
         })
     }
 
@@ -805,7 +847,7 @@ impl Recording {
         site: Injection,
         first_read: u64,
     ) -> Result<SiteRun, SimError> {
-        let k = *self.block_wave.get(&site.block).expect("victim block is scheduled");
+        let k = self.block_wave[site.block as usize];
         let wave = &self.waves[k];
         let vb = wave
             .blocks

@@ -220,3 +220,36 @@ fn serialization_is_deterministic() {
         "reload then re-serialize must be a fixed point"
     );
 }
+
+/// FNV-1a 64 of a byte string.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// The `PREC` v1 bytes are pinned across builds: a change to how a
+/// recording is held in memory must not change a byte it writes, or
+/// every persisted recording store goes stale.
+#[test]
+fn serialized_bytes_are_pinned() {
+    for (protection, digest) in [
+        (Protection::Penny, 0x4298_7d07_ad13_3b35u64),
+        (Protection::IGpu, 0xde97_eb49_b3f9_cb71),
+        (Protection::None, 0x8497_cfd4_c745_c903),
+    ] {
+        let r = rig(protection);
+        let rec = Recording::record(&r.gpu_config, &r.protected, &r.launch, &r.seeded)
+            .expect("record");
+        let bytes = rec.serialize(FINGERPRINT);
+        assert_eq!(fnv64(&bytes), digest, "{protection:?}: PREC bytes changed");
+        let reloaded =
+            Recording::deserialize(&bytes, FINGERPRINT, &r.gpu_config, &r.protected)
+                .expect("reload");
+        assert_eq!(
+            fnv64(&reloaded.serialize(FINGERPRINT)),
+            digest,
+            "{protection:?}: a reloaded recording writes different bytes"
+        );
+    }
+}

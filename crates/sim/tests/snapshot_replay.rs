@@ -264,3 +264,38 @@ fn recordings_reject_fault_plans() {
         Err(SimError::BadLaunch(_))
     ));
 }
+
+/// The bit-independence contract a conformance sweep relies on to answer
+/// a cell once for all its bits: which bit of the victim register flips
+/// changes neither the static attribution point, nor the site class,
+/// nor the memo key — except that an unprotected RF keeps the bit in
+/// the key, since there the corrupted value is observed.
+#[test]
+fn static_point_class_and_memo_key_ignore_the_bit() {
+    for protection in [Protection::Penny, Protection::IGpu, Protection::None] {
+        let r = rig(protection);
+        let rec = Recording::record(&r.gpu_config, &r.protected, &r.launch, &r.seeded)
+            .expect("record");
+        let bits = penny_sim::RegFile::new(1, r.gpu_config.rf).codeword_bits();
+        let mut keyed = 0usize;
+        for inj in site_grid() {
+            let zero = Injection { bit: 0, ..inj };
+            let (point, class, key) =
+                (rec.static_point(&zero), rec.site_class(&zero), rec.memo_key(&zero));
+            keyed += key.is_some() as usize;
+            for bit in 0..bits {
+                let flip = Injection { bit, ..inj };
+                assert_eq!(rec.static_point(&flip), point, "{protection:?} {flip:?}");
+                assert_eq!(rec.site_class(&flip), class, "{protection:?} {flip:?}");
+                let expected = key.map(|(b, w, l, reg, _, read)| {
+                    let keyed_bit = if protection == Protection::None { bit } else { 0 };
+                    (b, w, l, reg, keyed_bit, read)
+                });
+                assert_eq!(rec.memo_key(&flip), expected, "{protection:?} {flip:?}");
+            }
+        }
+        if protection != Protection::IGpu {
+            assert!(keyed > 0, "{protection:?}: grid exercises memo keys");
+        }
+    }
+}

@@ -38,6 +38,11 @@
 #      `penny-eval multibit` and `errorrate` tables byte-pinned, every
 #      run booked in exactly one of benign / recovered / DUE / SDC, and
 #      no SDC or DUE where the detector covers the flip weight;
+#   6e. the traced benchmark sweeps (perfbench/run.sh --trace 1, one
+#      second each): `sweep-static` and `sweep-exhaustive` re-drive
+#      every pair site by site through the public per-site calls and
+#      exit non-zero unless the re-driven report is byte-identical JSON
+#      to the program's cell-at-a-time report;
 #   7. the observability layer: the unit tests of the JSON codec
 #      (penny_obs::json), the span-schema validator and the
 #      shard-report round trip (penny_bench::json); penny-prof over all
@@ -137,6 +142,14 @@ cargo run -q --release -p penny-bench --bin penny-eval -- \
 
 echo "==> campaign: multi-bit tables byte-pinned, DUE kept apart from SDC"
 cargo test -q -p penny-bench --lib campaign
+
+echo "==> benchmark: traced sweeps re-drive site by site to the same reports"
+bench_dir="$(mktemp -d)"
+perfbench/run.sh --workload sweep-static --seed 1 --seconds 1 --trace 1 \
+    --out "$bench_dir" > /dev/null
+perfbench/run.sh --workload sweep-exhaustive --seed 1 --seconds 1 --trace 1 \
+    --out "$bench_dir" > /dev/null
+rm -rf "$bench_dir"
 
 echo "==> observability: JSON codec, span schema, report round trip"
 cargo test -q -p penny-obs
