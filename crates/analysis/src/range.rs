@@ -94,11 +94,6 @@ impl Range {
         Range { lo, hi, stride: if lo == hi { 0 } else { 1 } }
     }
 
-    /// Does this range carry no information?
-    pub fn is_top(self) -> bool {
-        self == Range::top()
-    }
-
     /// The single value, if the range is a singleton.
     pub fn as_const(self) -> Option<i64> {
         if self.lo == self.hi {

@@ -243,11 +243,6 @@ impl Uniformity {
         env.get(reg)
     }
 
-    /// The uniformity of an operand under `env`.
-    pub fn operand_uni(&self, op: Operand, env: &UniEnv) -> Uni {
-        UniTransfer::eval(op, env)
-    }
-
     /// May block `b` execute on a strict subset of the CTA's lanes?
     /// (Control-dependent on a not-provably-uniform branch.)
     pub fn divergent_exec(&self, b: BlockId) -> bool {

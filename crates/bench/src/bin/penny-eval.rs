@@ -9,7 +9,7 @@
 //!            [--bench-json] [--min-speedup X]
 //!            [--static-prune] [--static-validate] [--min-prune X]
 //!            [table1|table2|table3|fig9|fig10|fig11|fig12|fig13|fig14|fig15|
-//!             multibit|ablation|errorrate|bench-json|
+//!             multibit|ablation|errorrate|
 //!             conformance|conformance-exhaustive|campaign|
 //!             vulnerability|static-agreement|all]...
 //! ```
@@ -33,10 +33,6 @@
 //!   skip the record phase entirely.
 //! * `--obs-jsonl PATH` appends every observability span (including the
 //!   `recording-store` and compile-cache counters) as JSON lines.
-//!
-//! `bench-json` runs the Figure 9 pipeline under a wall-clock timer and
-//! writes `BENCH_eval.json` (wall-clock seconds, per-workload cycle and
-//! skipped-cycle counts) for tracking harness performance over time.
 //!
 //! Campaign subcommands:
 //!
@@ -251,7 +247,6 @@ fn main() {
                 "{}",
                 penny_bench::campaign::render_multibit(&penny_bench::multibit_sweep(100))
             ),
-            "bench-json" => bench_json(jobs),
             "conformance" => {
                 conformance_failed |= conformance_cmd(&ConformanceArgs {
                     shard,
@@ -587,74 +582,4 @@ fn prewarm() {
 fn die(msg: &str) -> ! {
     eprintln!("penny-eval: {msg}");
     std::process::exit(2);
-}
-
-/// Pass-timing aggregation for `BENCH_eval.json`: compiles every
-/// workload under the Penny scheme with a live recorder (bypassing the
-/// compile cache so each compilation is actually observed) and sums
-/// span wall time per pass label.
-fn pass_timings() -> Vec<(String, u64, u64)> {
-    use std::collections::BTreeMap;
-    let rec = penny_obs::MemRecorder::new();
-    let scheme = penny_bench::SchemeId::Penny;
-    let machine = GpuConfig::fermi().machine;
-    for w in penny_workloads::all() {
-        let kernel = w.kernel().unwrap_or_else(|e| die(&format!("{}: {e}", w.abbr)));
-        let cfg = scheme.config().with_launch(w.dims).with_machine(machine);
-        penny_core::compile_observed(&kernel, &cfg, &rec)
-            .unwrap_or_else(|e| die(&format!("{}: {e}", w.abbr)));
-    }
-    let mut agg: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    for s in rec.take() {
-        let e = agg.entry(s.label).or_insert((0, 0));
-        e.0 += 1;
-        e.1 += s.wall_ns;
-    }
-    agg.into_iter().map(|(pass, (n, ns))| (pass, n, ns)).collect()
-}
-
-/// Times the Figure 9 pipeline and writes `BENCH_eval.json`.
-fn bench_json(jobs: usize) {
-    let start = Instant::now();
-    let fig = figures::fig9();
-    let wall = start.elapsed().as_secs_f64();
-
-    let gpu = GpuConfig::fermi();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"jobs\": {jobs},\n"));
-    out.push_str(&format!("  \"fig9_wall_seconds\": {wall:.6},\n"));
-    for s in &fig.series {
-        out.push_str(&format!(
-            "  \"gmean_{}\": {:.6},\n",
-            s.name.to_lowercase().replace(['/', ' '], "_"),
-            s.gmean
-        ));
-    }
-    out.push_str("  \"passes\": [\n");
-    let passes = pass_timings();
-    for (i, (pass, spans, total_ns)) in passes.iter().enumerate() {
-        let comma = if i + 1 == passes.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"pass\": \"{pass}\", \"spans\": {spans}, \"total_ns\": {total_ns}}}{comma}\n"
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"workloads\": [\n");
-    let ws = penny_workloads::all();
-    for (i, w) in ws.iter().enumerate() {
-        let base = penny_bench::cache::baseline(w, &gpu).run;
-        let comma = if i + 1 == ws.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"abbr\": \"{}\", \"baseline_cycles\": {}, \"skipped_cycles\": {}}}{comma}\n",
-            w.abbr, base.cycles, base.skipped_cycles
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    match std::fs::write("BENCH_eval.json", &out) {
-        Ok(()) => eprintln!(
-            "bench-json: fig9 took {wall:.3}s with {jobs} jobs -> BENCH_eval.json"
-        ),
-        Err(e) => die(&format!("writing BENCH_eval.json: {e}")),
-    }
 }

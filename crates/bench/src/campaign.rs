@@ -111,10 +111,12 @@ pub fn edc_campaign(scheme: Scheme, flips: u32, runs: u32, seed: u64) -> Campaig
         if rec.enabled() {
             let label = format!("{}x{flips}b@run{run}", scheme.name());
             match &outcome {
-                Ok(site) => penny_obs::record_site(
+                Ok(site) => penny_obs::record(
                     rec.as_ref(),
+                    penny_obs::SpanKind::Site,
                     w.abbr,
                     &label,
+                    0,
                     &[
                         ("cycles", site.stats.cycles),
                         ("recoveries", site.stats.recoveries),
@@ -123,10 +125,12 @@ pub fn edc_campaign(scheme: Scheme, flips: u32, runs: u32, seed: u64) -> Campaig
                         ("sim_error", 0),
                     ],
                 ),
-                Err(_) => penny_obs::record_site(
+                Err(_) => penny_obs::record(
                     rec.as_ref(),
+                    penny_obs::SpanKind::Site,
                     w.abbr,
                     &label,
+                    0,
                     &[("sim_error", 1)],
                 ),
             }
@@ -137,11 +141,12 @@ pub fn edc_campaign(scheme: Scheme, flips: u32, runs: u32, seed: u64) -> Campaig
         );
     }
     if rec.enabled() {
-        penny_obs::record_campaign(
+        penny_obs::record(
             rec.as_ref(),
+            penny_obs::SpanKind::Campaign,
             w.abbr,
             &format!("{}x{flips}b", scheme.name()),
-            timer,
+            timer.elapsed_ns(),
             &[
                 ("runs", result.runs as u64),
                 ("benign", result.benign as u64),

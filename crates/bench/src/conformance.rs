@@ -52,12 +52,12 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use penny_analysis::{RfModel, StaticSiteClass, VulnerabilityMap};
-use penny_core::{Protected, GLOBAL_CKPT_BASE};
+use penny_core::Protected;
 use penny_sim::{
     FaultPlan, GlobalMemory, Gpu, GpuConfig, Injection, Recording, RegFile, RfProtection,
     SiteClass,
 };
-use penny_workloads::Workload;
+use penny_workloads::{user_words, Workload};
 
 use crate::parallel::parallel_map;
 use crate::runner::SchemeId;
@@ -512,15 +512,6 @@ pub(crate) struct Prepared {
     pub(crate) recording: Recording,
 }
 
-/// User-visible final memory: nonzero words below the checkpoint arena.
-/// The arena itself is runtime scratch and legitimately differs between
-/// faulty and fault-free runs.
-fn user_memory(global: &GlobalMemory) -> Vec<(u32, u32)> {
-    let mut words = global.nonzero_words();
-    words.retain(|&(addr, _)| addr < GLOBAL_CKPT_BASE);
-    words
-}
-
 /// The exact compiler configuration the conformance harness uses for a
 /// (workload, scheme) pair — shared by [`prepare`] and [`prewarm`] so
 /// both resolve to the same content-cache key.
@@ -594,7 +585,7 @@ fn prepare_workload(workload: Workload, scheme: SchemeId, vulnerability: bool) -
     )
     .unwrap_or_else(|e| panic!("{abbr} fault-free run: {e}"));
     assert!(workload.check(recording.global()), "{abbr}: fault-free output wrong");
-    let reference = user_memory(recording.global());
+    let reference = user_words(recording.global());
     let stats = recording.stats();
 
     let warps = workload.dims.threads_per_block().div_ceil(32).max(1);
@@ -635,7 +626,7 @@ fn run_site(p: &Prepared, inj: &Injection) -> Result<(), String> {
             if !p.workload.check(gpu.global()) {
                 return Err("workload checker rejected the output".into());
             }
-            if user_memory(gpu.global()) != p.reference {
+            if user_words(gpu.global()) != p.reference {
                 return Err("final memory differs from fault-free reference".into());
             }
             Ok(())
@@ -666,7 +657,7 @@ fn run_site_forked(p: &Prepared, inj: &Injection, members: u64) -> ForkedOutcome
                 Ok(())
             } else if !p.workload.check(&site.global) {
                 Err("workload checker rejected the output".to_string())
-            } else if user_memory(&site.global) != p.reference {
+            } else if user_words(&site.global) != p.reference {
                 Err("final memory differs from fault-free reference".to_string())
             } else {
                 Ok(())
@@ -676,10 +667,12 @@ fn run_site_forked(p: &Prepared, inj: &Injection, members: u64) -> ForkedOutcome
         Err(e) => (Err(format!("simulator error: {e}")), false, 0, 0),
     };
     if rec.enabled() {
-        penny_obs::record_site(
+        penny_obs::record(
             rec.as_ref(),
+            penny_obs::SpanKind::Site,
             p.workload.abbr,
             &site_label(inj),
+            0,
             &[
                 ("members", members),
                 ("spliced", spliced as u64),
@@ -1143,11 +1136,12 @@ fn run_prepared(
     }
 
     if rec.enabled() {
-        penny_obs::record_campaign(
+        penny_obs::record(
             rec.as_ref(),
+            penny_obs::SpanKind::Campaign,
             workload,
             scheme.name(),
-            timer,
+            timer.elapsed_ns(),
             &[
                 ("sites", covered),
                 ("snapshots", work.snapshots),

@@ -352,11 +352,12 @@ pub fn run_campaign(
                                 reports.len(),
                                 slot.attempts
                             );
-                            penny_obs::record_shard(
+                            penny_obs::record(
                                 rec.as_ref(),
+                                penny_obs::SpanKind::Shard,
                                 &format!("shard {}/{}", slot.index, spec.shards),
                                 "ok",
-                                attempt_timer,
+                                attempt_timer.elapsed_ns(),
                                 &[
                                     ("attempt", slot.attempts as u64),
                                     ("reports", reports.len() as u64),
@@ -371,11 +372,12 @@ pub fn run_campaign(
                             slot.state = SlotState::Done;
                         }
                         AttemptEnd::Failed(why) => {
-                            penny_obs::record_shard(
+                            penny_obs::record(
                                 rec.as_ref(),
+                                penny_obs::SpanKind::Shard,
                                 &format!("shard {}/{}", slot.index, spec.shards),
                                 "failed",
-                                attempt_timer,
+                                attempt_timer.elapsed_ns(),
                                 &[("attempt", slot.attempts as u64)],
                             );
                             if slot.attempts <= spec.retries {
@@ -415,11 +417,12 @@ pub fn run_campaign(
     // A lost shard makes the campaign partial even when no merged pair
     // exists to carry the flag (e.g. every shard failed).
     let partial = merged.iter().any(|m| m.partial) || shards.iter().any(|s| !s.ok);
-    penny_obs::record_campaign(
+    penny_obs::record(
         rec.as_ref(),
+        penny_obs::SpanKind::Campaign,
         "herd",
         if partial { "partial" } else { "complete" },
-        campaign_timer,
+        campaign_timer.elapsed_ns(),
         &[
             ("shards", spec.shards as u64),
             ("failed_shards", shards.iter().filter(|s| !s.ok).count() as u64),

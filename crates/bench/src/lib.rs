@@ -1,7 +1,8 @@
 #![warn(missing_docs)]
 //! The experiment harness: regenerates every table and figure of the
 //! paper's evaluation section (see `DESIGN.md` for the experiment
-//! index), plus helpers the Criterion benches reuse.
+//! index), and runs the fault-injection sweeps and campaigns the
+//! `perfbench/` benchmark times.
 //!
 //! Quick use from code:
 //!

@@ -2,8 +2,8 @@
 //!
 //! The figure and conformance machinery sits behind caches and
 //! `parallel_map` workers, so a recorder can't be threaded through every
-//! call signature without disturbing the public API the Criterion
-//! benches and tests share. Instead the harness consults one
+//! call signature without disturbing the public API the binaries, the
+//! benchmark and the tests share. Instead the harness consults one
 //! process-global sink: [`recorder`] returns the installed recorder, or
 //! a shared [`NullRecorder`] when none is installed — so every
 //! instrumentation site stays on the zero-cost disabled path by

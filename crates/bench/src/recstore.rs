@@ -21,15 +21,17 @@
 //! [`crate::cache`]) and its hit/miss counters surface through one
 //! `cache`-kind observability span (subject `recording-store`), which
 //! `scripts/verify.sh` greps to prove a warm campaign skipped the
-//! record phase.
+//! record phase. Each store-backed load or record is also timed as its
+//! own `cache`-kind span (subject: the workload abbreviation; label
+//! `load` or `record`; counter `bytes`) on the harness recorder
+//! ([`crate::obs::recorder`]).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{OnceLock, RwLock};
-use std::time::Instant;
 
 use penny_core::{PennyConfig, Protected};
-use penny_obs::Recorder;
+use penny_obs::{Recorder, SpanKind, SpanTimer};
 use penny_sim::snapshot::Recording;
 use penny_sim::{GlobalMemory, GpuConfig, LaunchConfig, SimError};
 use penny_workloads::Workload;
@@ -42,8 +44,6 @@ fn store_dir() -> &'static RwLock<Option<PathBuf>> {
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static STALE: AtomicU64 = AtomicU64::new(0);
-static LOAD_NS: AtomicU64 = AtomicU64::new(0);
-static RECORD_NS: AtomicU64 = AtomicU64::new(0);
 
 /// Counter snapshot of the recording store's activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,13 +56,6 @@ pub struct RecStoreStats {
     /// Files present but rejected (format version, fingerprint, or
     /// config mismatch) — counted in addition to the resulting miss.
     pub stale: u64,
-    /// Wall time spent serving hits (file read + deserialize), in
-    /// nanoseconds.
-    pub load_ns: u64,
-    /// Wall time spent serving misses (fault-free trace + serialize +
-    /// publish), in nanoseconds — the record phase a warm campaign
-    /// skips.
-    pub record_ns: u64,
 }
 
 /// Current counter values (cumulative for the process).
@@ -71,8 +64,6 @@ pub fn stats() -> RecStoreStats {
         hits: HITS.load(Ordering::Relaxed),
         misses: MISSES.load(Ordering::Relaxed),
         stale: STALE.load(Ordering::Relaxed),
-        load_ns: LOAD_NS.load(Ordering::Relaxed),
-        record_ns: RECORD_NS.load(Ordering::Relaxed),
     }
 }
 
@@ -103,7 +94,9 @@ fn key_path(dir: &Path, key: u64) -> PathBuf {
 /// pair, going through the persistent store when one is configured:
 /// a valid stored file short-circuits the trace entirely; otherwise
 /// the freshly traced recording is persisted (atomically, via a
-/// temp-file rename) for the next process.
+/// temp-file rename) for the next process. With a store configured,
+/// the load (read + deserialize) or the record (fault-free trace +
+/// serialize + publish) is timed as one `cache`-kind span.
 ///
 /// # Errors
 ///
@@ -125,12 +118,23 @@ pub(crate) fn load_or_record(
     };
     let key = penny_cache::recording_key(&workload.source_text(), config, gpu_config);
     let path = key_path(&dir, key);
-    let t = Instant::now();
+    let rec = crate::obs::recorder();
+    let span = |label: &str, timer: SpanTimer, bytes: usize| {
+        penny_obs::record(
+            rec.as_ref(),
+            SpanKind::Cache,
+            workload.abbr,
+            label,
+            timer.elapsed_ns(),
+            &[("bytes", bytes as u64)],
+        );
+    };
+    let timer = SpanTimer::start(rec.as_ref());
     if let Ok(bytes) = std::fs::read(&path) {
         match Recording::deserialize(&bytes, key, gpu_config, protected) {
             Ok(recording) => {
-                LOAD_NS.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 HITS.fetch_add(1, Ordering::Relaxed);
+                span("load", timer, bytes.len());
                 return Ok(recording);
             }
             Err(_) => {
@@ -139,17 +143,18 @@ pub(crate) fn load_or_record(
         }
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
-    let t = Instant::now();
+    let timer = SpanTimer::start(rec.as_ref());
     let recording = Recording::record(gpu_config, protected, launch, seed)?;
     // Atomic publish: a concurrent shard reading `path` sees either
     // nothing or a complete file, never a torn write. Failures are
     // deliberately ignored — the store is an accelerator, not a
     // correctness dependency.
     let tmp = dir.join(format!("{key:016x}.tmp.{}", std::process::id()));
-    if std::fs::write(&tmp, recording.serialize(key)).is_ok() {
+    let bytes = recording.serialize(key);
+    if std::fs::write(&tmp, &bytes).is_ok() {
         let _ = std::fs::rename(&tmp, &path);
     }
-    RECORD_NS.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    span("record", timer, bytes.len());
     Ok(recording)
 }
 
@@ -157,16 +162,12 @@ pub(crate) fn load_or_record(
 /// `recording-store`); no-op when `rec` is disabled.
 pub fn record_store_span(rec: &dyn Recorder) {
     let s = stats();
-    penny_obs::record_cache(
+    penny_obs::record(
         rec,
+        SpanKind::Cache,
         "recording-store",
         "stats",
-        &[
-            ("hits", s.hits),
-            ("misses", s.misses),
-            ("stale", s.stale),
-            ("load_ns", s.load_ns),
-            ("record_ns", s.record_ns),
-        ],
+        0,
+        &[("hits", s.hits), ("misses", s.misses), ("stale", s.stale)],
     );
 }

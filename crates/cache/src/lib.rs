@@ -223,10 +223,12 @@ pub fn record_cache_span(
     stats: CacheStats,
     entries: usize,
 ) {
-    penny_obs::record_cache(
+    penny_obs::record(
         rec,
+        penny_obs::SpanKind::Cache,
         subject,
         "stats",
+        0,
         &[
             ("hits", stats.hits),
             ("misses", stats.misses),

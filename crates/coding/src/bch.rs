@@ -69,22 +69,9 @@ impl Bch {
         K + self.r + usize::from(self.extended)
     }
 
-    /// Parity-check bit count.
-    pub fn check_bits(&self) -> usize {
-        self.r + usize::from(self.extended)
-    }
-
     /// Designed correction capability.
     pub fn t(&self) -> usize {
         self.t
-    }
-
-    /// Guaranteed detection capability when decoding is attempted
-    /// (`t + 1` for extended codes, `t` otherwise... conservatively the
-    /// minimum distance minus one when used purely for detection).
-    pub fn detect_only_capability(&self) -> usize {
-        // Minimum distance is >= 2t+1, +1 if extended.
-        2 * self.t + usize::from(self.extended)
     }
 
     /// Encodes 32 data bits into a codeword (bit 0..32 = data,

@@ -554,7 +554,7 @@ pub fn check_pruning(
         }
     };
     let builder = SliceBuilder::new(
-        kernel, &rd, &aa, &cd, rm, &slot_fn, &assume_fn, &reach_cp, &region_of,
+        kernel, &rd, &aa, &cd, &slot_fn, &assume_fn, &reach_cp, &region_of,
     );
     for (_, id, reg) in kernel.checkpoints() {
         if committed.contains(&id) {

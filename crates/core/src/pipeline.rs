@@ -6,7 +6,7 @@ use std::collections::{HashMap, HashSet};
 
 use penny_analysis::{AliasAnalysis, ControlDeps, Liveness, LoopInfo, ReachingDefs};
 use penny_ir::{Color, InstId, Kernel, VReg};
-use penny_obs::{record_pass, Recorder, SpanTimer};
+use penny_obs::{record, Recorder, SpanKind, SpanTimer};
 
 use crate::baselines::apply_igpu_renaming;
 use crate::checkpoint::{
@@ -93,11 +93,12 @@ pub fn compile_observed(
         let timer = SpanTimer::start(rec);
         let map = penny_analysis::VulnerabilityMap::compute(&protected.kernel);
         let c = map.counts();
-        record_pass(
+        record(
             rec,
+            SpanKind::Pass,
             &kernel.name,
             "vulnerability",
-            timer,
+            timer.elapsed_ns(),
             &[
                 ("cells", c.cells),
                 ("dead", c.dead),
@@ -152,20 +153,22 @@ fn compile_igpu(
     let timer = SpanTimer::start(rec);
     form_regions(&mut k, config.alias);
     let rm = RegionMap::compute(&k);
-    record_pass(
+    record(
         rec,
+        SpanKind::Pass,
         &kernel.name,
         "region-formation",
-        timer,
+        timer.elapsed_ns(),
         &[("regions", rm.len() as u64)],
     );
     let timer = SpanTimer::start(rec);
     let igpu = apply_igpu_renaming(&mut k, &rm);
-    record_pass(
+    record(
         rec,
+        SpanKind::Pass,
         &kernel.name,
         "igpu-renaming",
-        timer,
+        timer.elapsed_ns(),
         &[("renamed_defs", igpu.renamed_defs as u64), ("skipped", igpu.skipped as u64)],
     );
     penny_ir::validate(&k).map_err(CompileError::Validate)?;
@@ -221,7 +224,14 @@ fn compile_checkpointed(
     let timer = SpanTimer::start(rec);
     form_regions(&mut k, config.alias);
     let rm = RegionMap::compute(&k);
-    record_pass(rec, subject, "region-formation", timer, &[("regions", rm.len() as u64)]);
+    record(
+        rec,
+        SpanKind::Pass,
+        subject,
+        "region-formation",
+        timer.elapsed_ns(),
+        &[("regions", rm.len() as u64)],
+    );
 
     // ---- Checkpoint placement. ----
     {
@@ -238,11 +248,12 @@ fn compile_checkpointed(
         };
         insert_checkpoints(&mut k, &placements);
         let hoisted = crate::checkpoint::hoist_ckpts_above_atomics(&mut k);
-        record_pass(
+        record(
             rec,
+            SpanKind::Pass,
             subject,
             "checkpoint-placement",
-            timer,
+            timer.elapsed_ns(),
             &[
                 ("lup_edges", edges.len() as u64),
                 ("placements", placements.len() as u64),
@@ -305,11 +316,12 @@ fn compile_checkpointed(
     }
     // Adjustment blocks change the CFG: recompute the region map view.
     let rm = RegionMap::compute(&k);
-    record_pass(
+    record(
         rec,
+        SpanKind::Pass,
         subject,
         "overwrite-prevention",
-        timer,
+        timer.elapsed_ns(),
         &[
             ("renamed_defs", renamed_defs as u64),
             ("adjustment_blocks", adjustment_blocks as u64),
@@ -325,11 +337,12 @@ fn compile_checkpointed(
         let timer = SpanTimer::start(rec);
         crate::check::check_instrumented(&k, &rm, config.alias)
             .map_err(CompileError::Invariant)?;
-        record_pass(
+        record(
             rec,
+            SpanKind::Pass,
             subject,
             "validation",
-            timer,
+            timer.elapsed_ns(),
             &[("checkpoints", k.checkpoints().len() as u64)],
         );
     }
@@ -343,11 +356,12 @@ fn compile_checkpointed(
     let prune_out: PruneOutcome = prune(&k, &rm, config.pruning);
     let mut committed_set: HashSet<InstId> =
         prune_out.decisions.committed.iter().copied().collect();
-    record_pass(
+    record(
         rec,
+        SpanKind::Pass,
         subject,
         "pruning",
-        timer,
+        timer.elapsed_ns(),
         &[
             ("total", prune_out.total as u64),
             ("pruned_basic", prune_out.basic_pruned_count as u64),
@@ -374,11 +388,12 @@ fn compile_checkpointed(
             .flat_map(|r| &r.restores)
             .filter(|(_, r)| matches!(r, Restore::Slice(_)))
             .count() as u64;
-        record_pass(
+        record(
             rec,
+            SpanKind::Pass,
             subject,
             "restore-metadata",
-            timer,
+            timer.elapsed_ns(),
             &[
                 ("forced_commits", forced_commits),
                 ("slot_restores", slot_restores),
@@ -410,11 +425,12 @@ fn compile_checkpointed(
         &config.launch,
         pressure_estimate,
     );
-    record_pass(
+    record(
         rec,
+        SpanKind::Pass,
         subject,
         "storage-assignment",
-        timer,
+        timer.elapsed_ns(),
         &[
             ("shared_slots", (storage.slots.len() as u64) - storage.global_slots as u64),
             ("global_slots", storage.global_slots as u64),
@@ -469,11 +485,12 @@ fn compile_checkpointed(
             k.shared_bytes + storage.shared_bytes,
         ),
     };
-    record_pass(
+    record(
         rec,
+        SpanKind::Pass,
         subject,
         "codegen",
-        timer,
+        timer.elapsed_ns(),
         &[
             ("setup_regs", lowered.setup.len() as u64),
             ("regs_per_thread", pressure as u64),
@@ -523,7 +540,7 @@ fn build_restores(
         }
     };
     let builder = SliceBuilder::new(
-        kernel, &rd, &aa, &cd, rm, &slot_fn, &assume_fn, &reach_cp, &region_of,
+        kernel, &rd, &aa, &cd, &slot_fn, &assume_fn, &reach_cp, &region_of,
     );
     let rc = restore_colors(kernel, rm, &live_ins);
 

@@ -116,7 +116,7 @@ pub fn prune(kernel: &Kernel, rm: &RegionMap, mode: PruningMode) -> PruneOutcome
          f: &dyn Fn(&Optimizer<'_>, &AssumeTable) -> PruneDecisions| {
             let assume_fn = |id: InstId| assume.get(id);
             let builder = SliceBuilder::new(
-                kernel, &rd, &aa, &cd, rm, &slot_fn, &assume_fn, &reach_cp, &region_of,
+                kernel, &rd, &aa, &cd, &slot_fn, &assume_fn, &reach_cp, &region_of,
             );
             let opt = Optimizer {
                 builder: &builder,

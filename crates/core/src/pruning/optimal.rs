@@ -25,13 +25,6 @@ pub struct PruneDecisions {
     pub committed: Vec<InstId>,
 }
 
-impl PruneDecisions {
-    /// Returns `true` if the checkpoint is pruned.
-    pub fn is_pruned(&self, id: InstId) -> bool {
-        self.pruned.contains(&id)
-    }
-}
-
 /// Largest SCC the brute-force solver will attempt (2^12 assignments).
 const MAX_SCC: usize = 12;
 

@@ -68,7 +68,6 @@ pub struct SliceBuilder<'a> {
     rd: &'a ReachingDefs,
     aa: &'a AliasAnalysis,
     cd: &'a ControlDeps,
-    rm: &'a RegionMap,
     /// Checkpoint slot assignment (register, color) — filled with
     /// provisional indices before storage assignment runs.
     slots: &'a dyn Fn(VReg, penny_ir::Color) -> SlotRef,
@@ -88,13 +87,12 @@ impl<'a> SliceBuilder<'a> {
         rd: &'a ReachingDefs,
         aa: &'a AliasAnalysis,
         cd: &'a ControlDeps,
-        rm: &'a RegionMap,
         slots: &'a dyn Fn(VReg, penny_ir::Color) -> SlotRef,
         assume: &'a dyn Fn(InstId) -> Assume,
         reach_cp: &'a HashMap<(RegionId, VReg), Vec<InstId>>,
         region_of: &'a HashMap<InstId, Vec<RegionId>>,
     ) -> SliceBuilder<'a> {
-        SliceBuilder { kernel, rd, aa, cd, rm, slots, assume, reach_cp, region_of }
+        SliceBuilder { kernel, rd, aa, cd, slots, assume, reach_cp, region_of }
     }
 
     /// Builds a slice recomputing the value of register `reg` as seen at
@@ -493,11 +491,6 @@ impl<'a> SliceBuilder<'a> {
             stack.extend(self.kernel.block(b).term.successors());
         }
         false
-    }
-
-    /// Access to the region map (used by the pruning driver).
-    pub fn region_map(&self) -> &RegionMap {
-        self.rm
     }
 }
 

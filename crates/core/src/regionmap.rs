@@ -98,11 +98,6 @@ impl RegionMap {
         self.markers[r.index()].1
     }
 
-    /// Stable instruction id of a region's entry marker.
-    pub fn marker_inst(&self, r: RegionId) -> InstId {
-        self.markers[r.index()].2
-    }
-
     /// The regions the instruction at `loc` may execute in.
     ///
     /// For a marker instruction itself, this is the *enclosing* region

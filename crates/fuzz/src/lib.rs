@@ -622,11 +622,12 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
         let outcome = run_gauntlet(&spec, cfg);
         counts.add(&outcome.counts);
         if rec.enabled() {
-            penny_obs::record_campaign(
+            penny_obs::record(
                 rec.as_ref(),
+                penny_obs::SpanKind::Campaign,
                 &spec.name(),
                 "fuzz-gauntlet",
-                timer,
+                timer.elapsed_ns(),
                 &[
                     ("lint_clean", outcome.counts.lint_clean),
                     ("compiles", outcome.counts.compiles),

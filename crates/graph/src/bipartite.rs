@@ -106,16 +106,6 @@ impl BipartiteCover {
         self.edges.push((l, r));
     }
 
-    /// Number of left vertices.
-    pub fn left_len(&self) -> usize {
-        self.left_weight.len()
-    }
-
-    /// Number of right vertices.
-    pub fn right_len(&self) -> usize {
-        self.right_weight.len()
-    }
-
     /// Solves for a minimum-weight vertex cover.
     ///
     /// A left vertex is in the cover iff its source edge is saturated and it

@@ -280,12 +280,6 @@ impl Inst {
         self
     }
 
-    /// Sets the secondary type (builder-style; used by `cvt`).
-    pub fn with_ty2(mut self, ty2: Type) -> Inst {
-        self.ty2 = ty2;
-        self
-    }
-
     /// Number of source operands.
     pub fn num_srcs(&self) -> usize {
         self.srcs.len()

@@ -359,11 +359,6 @@ impl Module {
         Module::default()
     }
 
-    /// Wraps a single kernel.
-    pub fn with_kernel(kernel: Kernel) -> Module {
-        Module { kernels: vec![kernel] }
-    }
-
     /// Finds a kernel by name.
     pub fn kernel(&self, name: &str) -> Option<&Kernel> {
         self.kernels.iter().find(|k| k.name == name)

@@ -24,7 +24,8 @@
 //!   conformance run;
 //! * [`SpanKind::Cache`] — one compile-cache stats snapshot
 //!   (`penny_cache::ContentCache` hit/miss/evict/inflight-wait
-//!   counters, reported by `penny-prof`);
+//!   counters, reported by `penny-prof`), or one timed load or record
+//!   of the harness's recording store;
 //! * [`SpanKind::Campaign`] — one whole conformance sweep or fault
 //!   campaign (snapshot/fork/replay aggregates: snapshots taken, forks,
 //!   pages copied, replayed vs. skipped instructions, wall time);
@@ -32,8 +33,9 @@
 //!   `penny-herd` orchestrator (spawn/exit/retry/timeout, with attempt
 //!   and exit-status counters).
 //!
-//! Spans serialize to JSONL via [`Span::to_jsonl`]; the versioned
-//! schema lives in [`schema`] together with its validator
+//! Every instrumentation site emits through one constructor,
+//! [`record`]. Spans serialize to JSONL via [`Span::to_jsonl`]; the
+//! versioned schema lives in [`schema`] together with its validator
 //! (`penny-prof --check` runs every emitted line through it). [`json`]
 //! is the workspace's one JSON codec: the span writer, the validator
 //! and the shard-report interchange all go through it.
@@ -56,7 +58,8 @@ pub enum SpanKind {
     Sim,
     /// One fault-injection site (campaign/conformance).
     Site,
-    /// One compile-cache statistics snapshot.
+    /// One cache statistics snapshot, or one timed recording-store
+    /// load or record.
     Cache,
     /// One whole fault-injection campaign or conformance sweep
     /// (aggregate snapshot/fork/replay counters plus wall time).
@@ -250,116 +253,25 @@ impl SpanTimer {
     }
 }
 
-/// Records a compiler-pass span (no-op when `rec` is disabled).
-pub fn record_pass(
+/// Records one span (no-op when `rec` is disabled). Timed callers pass
+/// `timer.elapsed_ns()` — 0 for a dead timer, with no clock read —
+/// and counter-only spans (sites, cache stats) pass 0.
+pub fn record(
     rec: &dyn Recorder,
-    subject: &str,
-    pass: &'static str,
-    timer: SpanTimer,
-    counters: &[Counter],
-) {
-    if !rec.enabled() {
-        return;
-    }
-    rec.record(Span {
-        kind: SpanKind::Pass,
-        subject: subject.to_string(),
-        label: pass.to_string(),
-        wall_ns: timer.elapsed_ns(),
-        counters: counters.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
-    });
-}
-
-/// Records a simulator-run span (no-op when `rec` is disabled).
-pub fn record_sim(
-    rec: &dyn Recorder,
+    kind: SpanKind,
     subject: &str,
     label: &str,
-    timer: SpanTimer,
+    wall_ns: u64,
     counters: &[Counter],
 ) {
     if !rec.enabled() {
         return;
     }
     rec.record(Span {
-        kind: SpanKind::Sim,
+        kind,
         subject: subject.to_string(),
         label: label.to_string(),
-        wall_ns: timer.elapsed_ns(),
-        counters: counters.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
-    });
-}
-
-/// Records a fault-site span (counter-only; no-op when `rec` is
-/// disabled).
-pub fn record_site(rec: &dyn Recorder, subject: &str, label: &str, counters: &[Counter]) {
-    if !rec.enabled() {
-        return;
-    }
-    rec.record(Span {
-        kind: SpanKind::Site,
-        subject: subject.to_string(),
-        label: label.to_string(),
-        wall_ns: 0,
-        counters: counters.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
-    });
-}
-
-/// Records a campaign-level span — one whole conformance sweep or
-/// fault campaign, with aggregate snapshot/fork/replay counters and
-/// wall time (no-op when `rec` is disabled).
-pub fn record_campaign(
-    rec: &dyn Recorder,
-    subject: &str,
-    label: &str,
-    timer: SpanTimer,
-    counters: &[Counter],
-) {
-    if !rec.enabled() {
-        return;
-    }
-    rec.record(Span {
-        kind: SpanKind::Campaign,
-        subject: subject.to_string(),
-        label: label.to_string(),
-        wall_ns: timer.elapsed_ns(),
-        counters: counters.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
-    });
-}
-
-/// Records a shard-lifecycle span — one spawn/exit/retry/timeout event
-/// of an orchestrated campaign shard, with wall time since the shard
-/// was spawned (no-op when `rec` is disabled).
-pub fn record_shard(
-    rec: &dyn Recorder,
-    subject: &str,
-    label: &str,
-    timer: SpanTimer,
-    counters: &[Counter],
-) {
-    if !rec.enabled() {
-        return;
-    }
-    rec.record(Span {
-        kind: SpanKind::Shard,
-        subject: subject.to_string(),
-        label: label.to_string(),
-        wall_ns: timer.elapsed_ns(),
-        counters: counters.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
-    });
-}
-
-/// Records a compile-cache stats span (counter-only; no-op when `rec`
-/// is disabled).
-pub fn record_cache(rec: &dyn Recorder, subject: &str, label: &str, counters: &[Counter]) {
-    if !rec.enabled() {
-        return;
-    }
-    rec.record(Span {
-        kind: SpanKind::Cache,
-        subject: subject.to_string(),
-        label: label.to_string(),
-        wall_ns: 0,
+        wall_ns,
         counters: counters.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
     });
 }
@@ -374,8 +286,8 @@ mod tests {
         let timer = SpanTimer::start(&NULL);
         assert!(!timer.is_live());
         assert_eq!(timer.elapsed_ns(), 0);
-        // record_* helpers must not panic and must not record.
-        record_pass(&NULL, "k", "region-formation", timer, &[("regions", 3)]);
+        // `record` must not panic and must not record.
+        record(&NULL, SpanKind::Pass, "k", "region-formation", 0, &[("regions", 3)]);
     }
 
     #[test]
@@ -384,9 +296,10 @@ mod tests {
         assert!(rec.enabled() && rec.is_empty());
         let timer = SpanTimer::start(&rec);
         assert!(timer.is_live());
-        record_pass(&rec, "k", "pruning", timer, &[("committed", 2), ("total", 5)]);
-        record_sim(&rec, "k", "run", timer, &[("cycles", 100)]);
-        record_site(&rec, "MT", "b0w0l0r1b2t3", &[("recoveries", 1)]);
+        let pairs = [("committed", 2), ("total", 5)];
+        record(&rec, SpanKind::Pass, "k", "pruning", timer.elapsed_ns(), &pairs);
+        record(&rec, SpanKind::Sim, "k", "run", timer.elapsed_ns(), &[("cycles", 100)]);
+        record(&rec, SpanKind::Site, "MT", "b0w0l0r1b2t3", 0, &[("recoveries", 1)]);
         let spans = rec.snapshot();
         assert_eq!(spans.len(), 3);
         assert_eq!(spans[0].kind, SpanKind::Pass);
@@ -416,8 +329,9 @@ mod tests {
     #[test]
     fn cache_spans_are_counter_only() {
         let rec = MemRecorder::new();
-        record_cache(&rec, "compile-cache", "stats", &[("hits", 3), ("misses", 1)]);
-        record_cache(&NULL, "compile-cache", "stats", &[("hits", 3)]);
+        let pairs = [("hits", 3), ("misses", 1)];
+        record(&rec, SpanKind::Cache, "compile-cache", "stats", 0, &pairs);
+        record(&NULL, SpanKind::Cache, "compile-cache", "stats", 0, &[("hits", 3)]);
         let spans = rec.take();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].kind, SpanKind::Cache);

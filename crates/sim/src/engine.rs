@@ -31,7 +31,7 @@
 
 use penny_core::{LaunchDims, Protected};
 use penny_ir::{MemSpace, Op, Operand, Special, Terminator};
-use penny_obs::{record_sim, Recorder, SpanTimer};
+use penny_obs::{record, Recorder, SpanKind, SpanTimer};
 
 use crate::config::{GpuConfig, RfProtection};
 use crate::fault::FaultPlan;
@@ -215,11 +215,12 @@ pub fn run_observed(
     let timer = SpanTimer::start(rec);
     let stats = run_mode(config, protected, launch, global, false, ExecPath::Decoded)?;
     if rec.enabled() {
-        record_sim(
+        record(
             rec,
+            SpanKind::Sim,
             &protected.kernel.name,
             "run",
-            timer,
+            timer.elapsed_ns(),
             &[
                 ("cycles", stats.cycles),
                 ("skipped_cycles", stats.skipped_cycles),

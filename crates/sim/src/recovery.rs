@@ -84,17 +84,7 @@ pub fn restore_warp(
                     (cta_linear * dims.threads_per_block() + tid_flat) * 4
                 }
                 SetupValue::SlotAddr(slot) => {
-                    // The in-kernel address: base + per-thread offset in
-                    // the slot's own space addressing scheme.
-                    let base = penny_core::codegen::slot_base(
-                        slot,
-                        protected.shared_ckpt_base,
-                        dims,
-                    );
-                    match slot.space {
-                        MemSpace::Shared => base + tid_flat * 4,
-                        _ => base + (cta_linear * dims.threads_per_block() + tid_flat) * 4,
-                    }
+                    slot_addr(slot, protected, dims, cta_linear, tid_flat)
                 }
             };
             blocks[bi].threads[thread].rf.write(reg.index(), value, rf_stats);

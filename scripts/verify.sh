@@ -31,18 +31,23 @@
 #   6c. the static-vulnerability gates: the translation-validation
 #      agreement sweep (deep-budget MT/SGEMM under every protected
 #      scheme plus the exhaustive MT fault space, validate mode — zero
-#      static/dynamic disagreements), and the prune-rate floor
-#      (penny-eval vulnerability --min-prune: at least 50% of the MT
-#      fault space must be statically answered);
+#      static/dynamic disagreements), the analytic-profile suite (the
+#      profile behind `penny-eval vulnerability` must equal the
+#      exhaustive prune sweep field for field), and the prune-rate
+#      floor (penny-eval vulnerability --min-prune: at least 50% of the
+#      MT fault space must be statically answered);
 #   6d. the multi-bit campaign suite (penny_bench::campaign): the
 #      `penny-eval multibit` and `errorrate` tables byte-pinned, every
 #      run booked in exactly one of benign / recovered / DUE / SDC, and
 #      no SDC or DUE where the detector covers the flip weight;
-#   6e. the traced benchmark sweeps (perfbench/run.sh --trace 1, one
-#      second each): `sweep-static` and `sweep-exhaustive` re-drive
-#      every pair site by site through the public per-site calls and
-#      exit non-zero unless the re-driven report is byte-identical JSON
-#      to the program's cell-at-a-time report;
+#   6e. the benchmark: first a `--locked` build of perfbench/, so a
+#      dependency change in any crate the benchmark builds fails here
+#      instead of silently rewriting the frozen perfbench/Cargo.lock;
+#      then the traced sweeps (perfbench/run.sh --trace 1, one second
+#      each): `sweep-static` and `sweep-exhaustive` re-drive every pair
+#      site by site through the public per-site calls and exit non-zero
+#      unless the re-driven report is byte-identical JSON to the
+#      program's cell-at-a-time report;
 #   7. the observability layer: the unit tests of the JSON codec
 #      (penny_obs::json), the span-schema validator and the
 #      shard-report round trip (penny_bench::json); penny-prof over all
@@ -136,12 +141,21 @@ echo "==> static vulnerability: translation-validation agreement sweep"
 cargo run -q --release -p penny-bench --bin penny-eval -- \
     static-agreement --budget 2000
 
+echo "==> static vulnerability: analytic profile == exhaustive prune sweep"
+cargo test -q -p penny-bench --lib vulnerability
+
 echo "==> static vulnerability: prune-rate floor (MT >= 50% classified)"
 cargo run -q --release -p penny-bench --bin penny-eval -- \
     vulnerability --min-prune 0.5 > /dev/null
 
 echo "==> campaign: multi-bit tables byte-pinned, DUE kept apart from SDC"
 cargo test -q -p penny-bench --lib campaign
+
+echo "==> benchmark: build against the frozen perfbench/Cargo.lock"
+# perfbench/run.sh builds without --locked; this build turns a lock-file
+# drift into a failure. Same target directory default as run.sh.
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}" \
+    cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> benchmark: traced sweeps re-drive site by site to the same reports"
 bench_dir="$(mktemp -d)"
