@@ -21,13 +21,18 @@
 //! cheapest sufficient evidence — recorded outcome for never-firing and
 //! overwritten (invisible) flips, recorded outcome plus correction
 //! counters under SECDED, a forked replay of just the victim's wave
-//! otherwise — and sites whose replays are provably bit-identical
-//! (same victim cell, same first observing read) are grouped so one
-//! replay answers the whole group. The sites of one cell and trigger
-//! that differ only in the flipped bit are classified together, once
-//! (see `classify_range`). The determinism contract (forked ==
-//! from-scratch, bit for bit) is pinned by
-//! `crates/sim/tests/snapshot_replay.rs` and the bench-level
+//! otherwise — and sites whose replays are provably bit-identical are
+//! grouped so one replay answers the whole group
+//! ([`Recording::memo_key`]): under Penny's parity EDC, every flip one
+//! dynamic read detects and the recovery mends shares one replay of its
+//! recovery point (block, warp, detecting read); any other simulated
+//! site shares a replay with the flips of its own cell that the same
+//! read observes. A recovery-point replay checks its premise as it runs
+//! ([`Recording::run_group`]); a group it fails is split back into
+//! cells. The sites of one cell and trigger that differ only in the
+//! flipped bit are classified together, once (see `classify_range`).
+//! The determinism contract (forked == from-scratch, bit for bit) is
+//! pinned by `crates/sim/tests/snapshot_replay.rs` and the bench-level
 //! equivalence suite.
 //!
 //! # Sharding
@@ -46,7 +51,7 @@
 //! so a compiler-invariant bug fails fast with a named invariant instead
 //! of a corrupted-memory assert thousands of cycles later.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -55,7 +60,7 @@ use penny_analysis::{RfModel, StaticSiteClass, VulnerabilityMap};
 use penny_core::Protected;
 use penny_sim::{
     FaultPlan, GlobalMemory, Gpu, GpuConfig, Injection, Recording, RegFile, RfProtection,
-    SiteClass,
+    SiteClass, SiteRun,
 };
 use penny_workloads::{user_words, Workload};
 
@@ -272,6 +277,12 @@ impl Shard {
     #[cfg(test)]
     fn owns(&self, pos: u64) -> bool {
         pos % self.count as u64 == self.index as u64
+    }
+
+    /// How many of the sample positions `0..positions` this shard owns:
+    /// what an exhaustive sweep of a `positions`-site space must answer.
+    pub fn owned_count(&self, positions: u64) -> u64 {
+        self.owned_in(&(0..positions))
     }
 
     /// How many positions of `range` this shard owns, in closed form.
@@ -641,28 +652,44 @@ struct ForkedOutcome {
     spliced: bool,
     replayed_insts: u64,
     pages_copied: u64,
+    /// Whether the replay bore out its group's premise (see
+    /// [`Recording::run_group`]).
+    retraced: bool,
 }
 
-/// Answers one simulated-class site by forking the recording, and
-/// verifies the verdict. Spliced replays converge onto the recorded
-/// (already verified) final memory by construction; divergent replays
-/// are checked against the reference honestly. When the global recorder
-/// is enabled a `site` span is emitted with the replay counters.
-fn run_site_forked(p: &Prepared, inj: &Injection, members: u64) -> ForkedOutcome {
+/// The verdict on a forked replay: a spliced replay converged onto the
+/// recorded (verified) memory; any other is checked against the
+/// reference.
+fn forked_verdict(p: &Prepared, site: &SiteRun) -> Result<(), String> {
+    if site.spliced {
+        Ok(())
+    } else if !p.workload.check(&site.global) {
+        Err("workload checker rejected the output".to_string())
+    } else if user_words(&site.global) != p.reference {
+        Err("final memory differs from fault-free reference".to_string())
+    } else {
+        Ok(())
+    }
+}
+
+/// Answers the representative `inj` of replay group `key` by forking
+/// the recording, and verifies the verdict ([`forked_verdict`]). When
+/// the global recorder is enabled a `site` span is emitted with the
+/// replay counters.
+fn run_site_forked(
+    p: &Prepared,
+    key: &GroupKey,
+    inj: &Injection,
+    members: u64,
+) -> ForkedOutcome {
     let rec = crate::obs::recorder();
-    let outcome = p.recording.run_site(&p.gpu_config, &p.protected, *inj);
+    let (outcome, retraced) = match is_recovery_point(key) {
+        true => p.recording.run_group(&p.gpu_config, &p.protected, *inj),
+        false => (p.recording.run_site(&p.gpu_config, &p.protected, *inj), true),
+    };
     let (verdict, spliced, replayed_insts, pages_copied) = match outcome {
         Ok(site) => {
-            let verdict = if site.spliced {
-                Ok(())
-            } else if !p.workload.check(&site.global) {
-                Err("workload checker rejected the output".to_string())
-            } else if user_words(&site.global) != p.reference {
-                Err("final memory differs from fault-free reference".to_string())
-            } else {
-                Ok(())
-            };
-            (verdict, site.spliced, site.replayed_insts, site.pages_copied)
+            (forked_verdict(p, &site), site.spliced, site.replayed_insts, site.pages_copied)
         }
         Err(e) => (Err(format!("simulator error: {e}")), false, 0, 0),
     };
@@ -682,7 +709,7 @@ fn run_site_forked(p: &Prepared, inj: &Injection, members: u64) -> ForkedOutcome
             ],
         );
     }
-    ForkedOutcome { verdict, spliced, replayed_insts, pages_copied }
+    ForkedOutcome { verdict, spliced, replayed_insts, pages_copied, retraced }
 }
 
 /// Shrink field order (most impactful first) and per-field minimums:
@@ -788,9 +815,15 @@ pub fn check_site(abbr: &str, scheme: SchemeId, inj: &Injection) -> Result<(), S
 }
 
 /// A replay-equivalence group key: sites with equal key provably share
-/// one replay outcome (the memo contract — block, warp, lane, reg,
-/// bit-under-`None`, first-read index).
+/// one replay outcome (the memo contract of [`Recording::memo_key`] —
+/// block, warp, lane, reg, bit-under-`None`, first-read index; a
+/// recovery point has `u32::MAX` for lane and reg).
 type GroupKey = (u32, u32, u32, u32, u32, u64);
+
+/// Whether `key` names a recovery point rather than one cell.
+fn is_recovery_point(key: &GroupKey) -> bool {
+    key.2 == u32::MAX
+}
 
 /// A replay-equivalence group key plus its bookkeeping: sites that
 /// provably share one replay outcome.
@@ -867,13 +900,15 @@ fn static_map(p: &Prepared, mode: StaticMode) -> Option<&VulnerabilityMap> {
 /// counter. Only the positions a report keeps are materialised, each
 /// with its own bit. An unprotected RF observes the flipped value, so
 /// there every bit keys its own replay group. A sampled sequence is
-/// walked in runs of one.
+/// walked in runs of one. A site whose recovery-point key is in `split`
+/// joins its cell's group instead.
 fn classify_range(
     p: &Prepared,
     seq: &SiteSeq,
     shard: Shard,
     mode: StaticMode,
     model: RfModel,
+    split: &HashSet<GroupKey>,
     range: Range<u64>,
 ) -> ChunkClass {
     let vmap = static_map(p, mode);
@@ -950,13 +985,52 @@ fn classify_range(
             }
             SiteClass::Simulated => {
                 out.classes.simulated += owned;
-                let key =
+                let mut key =
                     p.recording.memo_key(&inj).expect("simulated sites have memo keys");
+                if !split.is_empty() && split.contains(&key) {
+                    (key.2, key.3) = (inj.lane, inj.reg);
+                }
                 out.join(&mut index_of, key, inj, owned, owned_positions());
             }
         }
     }
     out
+}
+
+/// Phase 1 of a sweep: [`classify_range`] over every chunk of sample
+/// positions (in parallel), merged in position order, so a group's
+/// representative is its globally-first member and positions stay
+/// ascending.
+fn classify_sweep(
+    p: &Prepared,
+    seq: &SiteSeq,
+    shard: Shard,
+    mode: StaticMode,
+    model: RfModel,
+    split: &HashSet<GroupKey>,
+) -> ChunkClass {
+    let positions = seq.len();
+    let chunk_bounds: Vec<(u64, u64)> = (0..positions)
+        .step_by(CHUNK as usize)
+        .map(|s| (s, (s + CHUNK).min(positions)))
+        .collect();
+    let chunked = parallel_map(&chunk_bounds, |&(start, end)| {
+        classify_range(p, seq, shard, mode, model, split, start..end)
+    });
+    let mut all = ChunkClass::default();
+    let mut index_of: HashMap<GroupKey, usize> = HashMap::new();
+    for chunk in chunked {
+        all.covered += chunk.covered;
+        all.classes.add(&chunk.classes);
+        all.pruned.add(&chunk.pruned);
+        all.static_checked += chunk.static_checked;
+        all.disagreement_count += chunk.disagreement_count;
+        all.disagreements.extend(chunk.disagreements);
+        for (key, g) in chunk.groups {
+            all.join(&mut index_of, key, g.rep, g.members, g.positions.into_iter());
+        }
+    }
+    all
 }
 
 /// Runs the conformance harness for one (workload, scheme) pair with a
@@ -1041,74 +1115,42 @@ fn run_prepared(
     let workload = p.workload.abbr;
     let total = p.space.total();
     let seq = p.space.sequence(budget);
-    let positions = seq.len();
     let model = rf_model(scheme.rf());
 
-    // Phase 1 — classify every owned site (parallel over position
-    // chunks).
-    let chunk_bounds: Vec<(u64, u64)> = (0..positions)
-        .step_by(CHUNK as usize)
-        .map(|s| (s, (s + CHUNK).min(positions)))
-        .collect();
-    let chunked = parallel_map(&chunk_bounds, |&(start, end)| {
-        classify_range(&p, &seq, shard, mode, model, start..end)
-    });
-
-    // Merge chunks in position order: group representatives keep the
-    // globally-first member, positions stay ascending.
-    let mut covered = 0u64;
-    let mut classes = SiteClassCounts::default();
-    let mut static_prune = StaticPruneCounts::default();
-    let mut static_checked = 0u64;
-    let mut static_disagreements = 0u64;
-    let mut disagreements: Vec<(u64, String)> = Vec::new();
-    let mut order: Vec<GroupKey> = Vec::new();
-    let mut merged: HashMap<GroupKey, Group> = HashMap::new();
-    for chunk in chunked {
-        covered += chunk.covered;
-        classes.add(&chunk.classes);
-        static_prune.add(&chunk.pruned);
-        static_checked += chunk.static_checked;
-        static_disagreements += chunk.disagreement_count;
-        disagreements.extend(chunk.disagreements);
-        for (key, seen) in chunk.groups {
-            match merged.entry(key) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    order.push(key);
-                    e.insert(seen);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let g = e.get_mut();
-                    g.members += seen.members;
-                    for pos in seen.positions {
-                        if g.positions.len() < MAX_REPORTED_FAILURES {
-                            g.positions.push(pos);
-                        }
-                    }
-                }
-            }
+    // Phase 1 classifies every owned site into replay groups, phase 2
+    // runs one forked replay per group (both parallel). A recovery-point
+    // group whose replay does not bear out its premise is split back
+    // into cells and the sweep redone; no registered workload does that.
+    let mut split: HashSet<GroupKey> = HashSet::new();
+    let (mut sweep, outcomes) = loop {
+        let sweep = classify_sweep(&p, &seq, shard, mode, model, &split);
+        let outcomes = parallel_map(&sweep.groups, |(key, g)| {
+            run_site_forked(&p, key, &g.rep, g.members)
+        });
+        let broken = sweep.groups.iter().zip(&outcomes).filter(|(_, o)| !o.retraced);
+        let broken: Vec<GroupKey> = broken.map(|((key, _), _)| *key).collect();
+        if broken.is_empty() {
+            break (sweep, outcomes);
         }
-    }
-
-    // Phase 2 — one forked replay per group (parallel over groups).
-    let groups: Vec<&Group> = order.iter().map(|k| &merged[k]).collect();
-    let outcomes = parallel_map(&groups, |g| run_site_forked(&p, &g.rep, g.members));
+        split.extend(broken);
+    };
+    let covered = sweep.covered;
 
     // Phase 3 — verdicts, failure attribution, counters.
     let mut work = ReplayWork {
         snapshots: p.recording.counters().snapshots,
-        forks: groups.len() as u64,
+        forks: sweep.groups.len() as u64,
         replayed_insts: 0,
         cold_insts: covered.saturating_mul(p.recording.counters().total_warp_insts),
         pages_copied: 0,
     };
     let mut failed_sites = 0u64;
     let mut failing: Vec<(u64, String)> = Vec::new();
-    for (g, o) in groups.iter().zip(&outcomes) {
+    for ((_, g), o) in sweep.groups.iter().zip(&outcomes) {
         work.replayed_insts += o.replayed_insts;
         work.pages_copied += o.pages_copied;
         if o.spliced {
-            classes.spliced += g.members;
+            sweep.classes.spliced += g.members;
         }
         if let Err(reason) = &o.verdict {
             failed_sites += g.members;
@@ -1149,17 +1191,17 @@ fn run_prepared(
                 ("pages_copied", work.pages_copied),
                 ("replayed_insts", work.replayed_insts),
                 ("skipped_insts", work.cold_insts.saturating_sub(work.replayed_insts)),
-                ("spliced", classes.spliced),
+                ("spliced", sweep.classes.spliced),
                 ("failures", failed_sites),
-                ("pruned_static", static_prune.total()),
-                ("static_checked", static_checked),
-                ("static_disagreements", static_disagreements),
+                ("pruned_static", sweep.pruned.total()),
+                ("static_checked", sweep.static_checked),
+                ("static_disagreements", sweep.disagreement_count),
             ],
         );
     }
 
-    disagreements.sort_by_key(|a| a.0);
-    disagreements.truncate(MAX_REPORTED_FAILURES);
+    sweep.disagreements.sort_by_key(|a| a.0);
+    sweep.disagreements.truncate(MAX_REPORTED_FAILURES);
 
     ConformanceReport {
         workload,
@@ -1167,14 +1209,14 @@ fn run_prepared(
         space: p.space,
         total,
         covered,
-        skipped: total - covered - static_prune.total(),
-        pruned_static: static_prune.total(),
-        static_prune,
-        static_checked,
-        static_disagreements,
-        disagreements,
+        skipped: total - covered - sweep.pruned.total(),
+        pruned_static: sweep.pruned.total(),
+        static_prune: sweep.pruned,
+        static_checked: sweep.static_checked,
+        static_disagreements: sweep.disagreement_count,
+        disagreements: sweep.disagreements,
         recovered: covered - failed_sites,
-        classes,
+        classes: sweep.classes,
         work,
         shard: (shard.index, shard.count),
         failures,
@@ -1694,7 +1736,8 @@ mod tests {
                 let forked = match p.recording.site_class(&inj) {
                     SiteClass::Simulated => {
                         simulated += 1;
-                        run_site_forked(&p, &inj, 1).verdict
+                        let key = p.recording.memo_key(&inj).expect("memo key");
+                        run_site_forked(&p, &key, &inj, 1).verdict
                     }
                     // Analytic classes are bit-identical to the recorded
                     // (verified) run; the cold verdict must agree.
@@ -1834,8 +1877,15 @@ mod tests {
                 for shard in shards {
                     for (seq, range) in &cases {
                         let ctx = format!("{scheme:?} {mode:?} {shard:?} {range:?}");
-                        let cell =
-                            classify_range(&p, seq, shard, mode, model, range.clone());
+                        let cell = classify_range(
+                            &p,
+                            seq,
+                            shard,
+                            mode,
+                            model,
+                            &HashSet::new(),
+                            range.clone(),
+                        );
                         let site = classify_range_per_site(
                             &p,
                             seq,
@@ -1862,7 +1912,8 @@ mod tests {
         for shard in shards {
             let range = 5..seq.len() / 4 + 11;
             let (mode, model) = (StaticMode::Validate, RfModel::SecdedEcc);
-            let cell = classify_range(&p, &seq, shard, mode, model, range.clone());
+            let split = HashSet::new();
+            let cell = classify_range(&p, &seq, shard, mode, model, &split, range.clone());
             let site = classify_range_per_site(&p, &seq, shard, mode, model, range);
             assert_same_classification(&cell, &site, &format!("SECDED claims {shard:?}"));
             assert_eq!(cell.disagreements.len(), MAX_REPORTED_FAILURES);
@@ -1891,6 +1942,124 @@ mod tests {
         assert_eq!(s.warp, 0);
         assert_eq!(s.lane, 0);
         assert_eq!(s.bit, 0);
+    }
+
+    /// The region entries a recording derives from its PC streams are
+    /// the engine's own region snapshots at every crossing, for a
+    /// recorded and a reloaded recording alike: on straight-line (MT,
+    /// BS), divergent (BFS) and ragged-warp (NW) kernels.
+    #[test]
+    fn region_entries_are_the_engines_region_snapshots() {
+        for abbr in ["MT", "BS", "BFS", "NW"] {
+            let p = prepare(abbr, SchemeId::Penny, false);
+            let mut seed = GlobalMemory::new();
+            let launch = p.workload.prepare(&mut seed);
+            let observed = penny_sim::snapshot::observed_region_entries(
+                &p.gpu_config,
+                &p.protected,
+                &launch,
+                &seed,
+            )
+            .expect("fault-free run");
+            let bytes = p.recording.serialize(1);
+            let loaded = Recording::deserialize(&bytes, 1, &p.gpu_config, &p.protected)
+                .expect("reload");
+            for rec in [&p.recording, &loaded] {
+                let streams: Vec<_> = rec.warp_streams().collect();
+                assert_eq!(streams.len(), observed.len(), "{abbr}: warps");
+                for (s, o) in streams.iter().zip(&observed) {
+                    assert_eq!(
+                        s.entries,
+                        &o[..],
+                        "{abbr}: block {} warp {}",
+                        s.block,
+                        s.warp
+                    );
+                }
+            }
+            assert!(observed.iter().all(|o| !o.is_empty()), "{abbr}: a warp never enters");
+        }
+    }
+
+    /// Splitting a recovery-point group regroups its members by cell:
+    /// with every recovery point split, the exhaustive MT sweep falls
+    /// back to one group per (cell, detecting read) — the 8,192 replay
+    /// groups of a per-cell key — and classifies every site as before.
+    #[test]
+    fn split_recovery_points_regroup_by_cell() {
+        let p = prepare("MT", SchemeId::Penny, false);
+        let seq = p.space.sequence(u64::MAX);
+        let (mode, model) = (StaticMode::Off, rf_model(p.gpu_config.rf));
+        let joint = classify_sweep(&p, &seq, Shard::full(), mode, model, &HashSet::new());
+        let split: HashSet<GroupKey> = joint.groups.iter().map(|(key, _)| *key).collect();
+        assert!(split.iter().all(is_recovery_point), "every MT group is a recovery point");
+        let cells = classify_sweep(&p, &seq, Shard::full(), mode, model, &split);
+        assert_eq!((joint.groups.len(), cells.groups.len()), (144, 8192));
+        assert!(cells.groups.iter().all(|(key, _)| !is_recovery_point(key)));
+        assert_eq!((cells.covered, cells.classes), (joint.covered, joint.classes));
+        let members = |c: &ChunkClass| c.groups.iter().map(|(_, g)| g.members).sum::<u64>();
+        assert_eq!(members(&cells), members(&joint));
+    }
+
+    /// Every member of a recovery-point group ends like its
+    /// representative. For a spread of groups on MT, BS, BFS (divergent)
+    /// and NW (ragged warps) under Penny, each member (cell, trigger) is
+    /// replayed on its own and must match the representative's stats and
+    /// memory, and one member in another cell runs cold — from cycle 0,
+    /// no snapshot engine — and must reach the representative's verdict.
+    #[test]
+    fn recovery_point_members_end_like_their_representative() {
+        const GROUPS: usize = 8;
+        for abbr in ["MT", "BS", "BFS", "NW"] {
+            let p = prepare(abbr, SchemeId::Penny, false);
+            let rec = &p.recording;
+            // Parity never keys the bit, so bit 0 stands for every bit of
+            // a (cell, trigger).
+            let mut index_of: HashMap<GroupKey, usize> = HashMap::new();
+            let mut groups: Vec<Vec<Injection>> = Vec::new();
+            for index in (0..p.space.total()).step_by(p.space.bits as usize) {
+                let inj = p.space.site(index);
+                let Some(key) = rec.memo_key(&inj).filter(is_recovery_point) else {
+                    continue;
+                };
+                let g = *index_of.entry(key).or_insert_with(|| {
+                    groups.push(Vec::new());
+                    groups.len() - 1
+                });
+                groups[g].push(inj);
+            }
+            assert!(groups.len() >= GROUPS, "{abbr}: {} groups", groups.len());
+            let (mut members, mut cold, mut mismatches) = (0usize, 0usize, Vec::new());
+            for group in groups.iter().step_by(groups.len() / GROUPS) {
+                let rep = group[0];
+                let (want, retraced) = rec.run_group(&p.gpu_config, &p.protected, rep);
+                let want = want.expect("representative replay");
+                assert!(retraced, "{abbr}: the premise fails at {rep:?}");
+                for &m in &group[1..] {
+                    let got = rec.run_site(&p.gpu_config, &p.protected, m).expect("member");
+                    members += 1;
+                    if got.stats != want.stats
+                        || got.global != want.global
+                        || got.global.nonzero_words() != want.global.nonzero_words()
+                    {
+                        mismatches.push(m);
+                    }
+                }
+                if let Some(m) =
+                    group.iter().find(|m| (m.lane, m.reg) != (rep.lane, rep.reg))
+                {
+                    assert_eq!(run_site(&p, m), forked_verdict(&p, &want), "{abbr}: {m:?}");
+                    cold += 1;
+                }
+            }
+            assert!(members > 0 && cold > 0, "{abbr}: {members} members, {cold} cold");
+            assert!(
+                mismatches.is_empty(),
+                "{abbr}: {} of {members} members differ from their representative: {:?}",
+                mismatches.len(),
+                &mismatches[..mismatches.len().min(4)]
+            );
+        }
     }
 
     #[test]

@@ -362,3 +362,57 @@ fn exhaustive_mt_static_prune_report_bytes_are_pinned() {
         )
     );
 }
+
+/// The exhaustive MT/Penny sweep with the static layer off, pinned as
+/// JSON. Every simulated site is replayed or shares a replay, so a
+/// change to how sites are grouped — the recovery-point key in
+/// particular — shows here in `forks`, `replayed_insts` and
+/// `pages_copied`.
+#[test]
+fn exhaustive_mt_report_bytes_are_pinned() {
+    let r = run_conformance_static("MT", SchemeId::Penny, u64::MAX, StaticMode::Off);
+    assert_eq!(
+        report_to_json(&r),
+        concat!(
+            r#"{"workload":"MT","variant":"Penny","space":{"blocks":4,"warps":2,"#,
+            r#""lanes":32,"triggers":27,"regs":23,"bits":33},"total":5246208,"#,
+            r#""covered":5246208,"skipped":0,"pruned_static":0,"#,
+            r#""static_prune":{"dead":0,"overwritten":0,"covered":0},"#,
+            r#""static_checked":0,"static_disagreements":0,"disagreements":[],"#,
+            r#""recovered":5246208,"classes":{"never_fires":194304,"invisible":3936768,"#,
+            r#""corrected_inline":0,"simulated":1115136,"spliced":1115136},"#,
+            r#""work":{"snapshots":12,"forks":144,"replayed_insts":6260,"#,
+            r#""cold_insts":1133180928,"pages_copied":108},"shard":[0,1],"failures":[]}"#,
+        )
+    );
+}
+
+/// A shard of an exhaustive sweep answers exactly the sample positions
+/// it owns — the check `penny-eval conformance-exhaustive --shard`
+/// makes; the other shards' positions count as skipped — and the
+/// shards merge into the unsharded report.
+#[test]
+fn exhaustive_shards_answer_the_positions_they_own() {
+    let full = run_conformance_static("MT", SchemeId::Penny, u64::MAX, StaticMode::Off);
+    let shards: Vec<_> = (0..3)
+        .map(|index| {
+            let shard = Shard { index, count: 3 };
+            let r = run_conformance_static_sharded(
+                "MT",
+                SchemeId::Penny,
+                u64::MAX,
+                StaticMode::Off,
+                shard,
+            );
+            assert_eq!(
+                r.covered + r.pruned_static,
+                shard.owned_count(r.total),
+                "{shard:?}"
+            );
+            assert!(r.skipped > 0, "{shard:?}: other shards' positions are skipped");
+            r
+        })
+        .collect();
+    let merged = merge_reports(&shards).expect("merge");
+    assert_eq!(render_report(&merged), render_report(&full));
+}

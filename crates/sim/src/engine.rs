@@ -15,6 +15,10 @@
 //! of the corrupted register, and the engine then runs Penny's recovery:
 //! restore the current region's live-ins (from checkpoint slots or by
 //! recovery slices) and rewind the warp to the region entry snapshot.
+//! The instruction the detection aborted counts only the detection: its
+//! partial register reads and thread instructions are taken back, since
+//! the re-execution counts them (and they would otherwise depend on the
+//! lane and operand that tripped).
 //!
 //! # Execution paths
 //!
@@ -512,10 +516,11 @@ impl<'a> SmEngine<'a> {
         eng
     }
 
-    /// Reconstructs a decoded-path engine from captured wave state. The
-    /// engine continues bit-identically to the one that was captured,
-    /// except that `launch`'s fault plan starts unapplied (the whole
-    /// point of forking a wave: replay it with a new injection).
+    /// Reconstructs a decoded-path engine from captured wave state,
+    /// optionally traced. The engine continues bit-identically to the one
+    /// that was captured, except that `launch`'s fault plan starts
+    /// unapplied (the whole point of forking a wave: replay it with a new
+    /// injection).
     pub(crate) fn restore(
         config: &'a GpuConfig,
         protected: &'a Protected,
@@ -523,6 +528,7 @@ impl<'a> SmEngine<'a> {
         program: &'a Program,
         global: &'a mut GlobalMemory,
         state: &WaveState,
+        trace: Option<&'a mut dyn WaveTrace>,
     ) -> SmEngine<'a> {
         SmEngine {
             config,
@@ -538,7 +544,7 @@ impl<'a> SmEngine<'a> {
             faults_remaining: launch.faults.injections.len(),
             dense: false,
             path: ExecPath::Decoded,
-            trace: None,
+            trace,
             last_active: 0,
             ready: Vec::new(),
             scratch_srcs: Vec::new(),
@@ -792,11 +798,66 @@ impl<'a> SmEngine<'a> {
                 Ok(())
             }
             Err(StepFault::Detected) => {
+                self.undo_aborted(bi, wi, flow, &d, stats);
                 self.recover(bi, wi, stats)?;
                 Ok(())
             }
             Err(StepFault::Sim(e)) => Err(e),
         }
+    }
+
+    /// Takes back what an instruction aborted by a detection had
+    /// counted: its register reads up to and including the one that
+    /// tripped (the first read, in lane and operand order, of a
+    /// register still dirty), and a branch's per-lane thread
+    /// instructions. Those counts depend on which lane and operand
+    /// tripped, and the re-execution after recovery counts the
+    /// instruction again; undone, a detection adds one `detected` count
+    /// wherever it lands. Both interpreters read operands in the
+    /// decoded order, so both undo through `d`.
+    fn undo_aborted(
+        &self,
+        bi: usize,
+        wi: usize,
+        flow: StackEntry,
+        d: &DecodedInst,
+        stats: &mut RunStats,
+    ) {
+        let warp = &self.blocks[bi].warps[wi];
+        let threads = &self.blocks[bi].threads[warp.base_thread as usize..];
+        let (mut reads, mut insts) = (0u64, 0u64);
+        'lanes: for (lane, thread) in threads.iter().take(warp.width as usize).enumerate() {
+            if flow.mask & (1 << lane) == 0 {
+                continue;
+            }
+            let rf = &thread.rf;
+            let mut trips = |reg: u32| {
+                reads += 1;
+                rf.is_dirty(reg as usize)
+            };
+            if let DKind::Branch { pred, .. } = d.kind {
+                if trips(pred) {
+                    break;
+                }
+                insts += 1;
+                continue;
+            }
+            if d.guard != NO_REG {
+                if trips(d.guard) {
+                    break;
+                }
+                if (rf.peek(d.guard as usize) != 0) == d.guard_negated {
+                    continue;
+                }
+            }
+            for &src in &d.srcs[..d.nsrcs as usize] {
+                if matches!(src, DSrc::Reg(r) if trips(r)) {
+                    break 'lanes;
+                }
+            }
+        }
+        stats.rf.reads -= reads;
+        stats.instructions -= insts;
     }
 
     fn exec_decoded(
@@ -1109,6 +1170,8 @@ impl<'a> SmEngine<'a> {
                 Ok(())
             }
             Err(StepFault::Detected) => {
+                let d = self.program.decoded[flow.pc];
+                self.undo_aborted(bi, wi, flow, &d, stats);
                 self.recover(bi, wi, stats)?;
                 Ok(())
             }

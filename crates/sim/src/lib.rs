@@ -68,7 +68,9 @@ pub use memory::{GlobalMemory, SharedMemory};
 pub use persist::{LoadError, RECORDING_FORMAT_VERSION};
 pub use program::{DKind, DSrc, DecodedInst, Program, NO_REG};
 pub use regfile::{ReadOutcome, RegFile, RfStats};
-pub use snapshot::{Recording, RecordingCounters, SiteClass, SiteRun, WarpStream};
+pub use snapshot::{
+    Recording, RecordingCounters, RegionEntry, SiteClass, SiteRun, WarpStream,
+};
 
 /// Simulation errors.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -33,9 +33,10 @@
 //!   fault-free recording never has a dirty register, so
 //!   `words[r] == encode(values[r])` and re-encoding at load is
 //!   bit-identical;
-//! * the decoded program and the block→wave index are rebuilt from the
-//!   `Protected` artifact and the wave list instead of being stored
-//!   (both are deterministic functions of them).
+//! * the decoded program, the block→wave index, each warp's region
+//!   entries and the per-region restored registers are rebuilt from the
+//!   `Protected` artifact, the wave list and the PC streams instead of
+//!   being stored (all are deterministic functions of them).
 //!
 //! Warp traces are written in (block, warp) order, each behind its key,
 //! which is the order of the recording's dense per-warp table; the
@@ -56,7 +57,8 @@ use crate::memory::{GlobalMemory, SharedMemory, PAGE_WORDS};
 use crate::program::Program;
 use crate::regfile::{RegFile, RfStats};
 use crate::snapshot::{
-    block_waves, Access, Recording, RecordingCounters, Snap, WarpTrace, WaveRec,
+    block_waves, restored_sets, Access, Recording, RecordingCounters, Snap, WarpTrace,
+    WaveRec,
 };
 use crate::warp::{StackEntry, Warp, WarpSnapshot};
 
@@ -489,7 +491,11 @@ fn put_trace(buf: &mut Vec<u8>, tr: &WarpTrace) {
     }
 }
 
-fn get_trace(r: &mut Reader<'_>, num_regs: usize) -> Result<WarpTrace, LoadError> {
+fn get_trace(
+    r: &mut Reader<'_>,
+    num_regs: usize,
+    program: &Program,
+) -> Result<WarpTrace, LoadError> {
     let final_executed = r.u64()?;
     let width = r.u32()?;
     let ncells = r.len(8)?;
@@ -526,7 +532,7 @@ fn get_trace(r: &mut Reader<'_>, num_regs: usize) -> Result<WarpTrace, LoadError
     let pcs = r.u32_vec(npcs)?;
     let nmasks = r.len(4)?;
     let masks = r.u32_vec(nmasks)?;
-    Ok(WarpTrace::from_csr(offsets, flat, final_executed, width, pcs, masks))
+    Ok(WarpTrace::from_csr(offsets, flat, final_executed, width, pcs, masks, program))
 }
 
 impl Recording {
@@ -742,7 +748,7 @@ impl Recording {
                     "warp trace {key:?} out of place"
                 )));
             }
-            traces.push(get_trace(&mut r, num_regs)?);
+            traces.push(get_trace(&mut r, num_regs, &program)?);
         }
 
         let final_global = get_global(&mut r, &pages)?;
@@ -761,6 +767,7 @@ impl Recording {
             final_stats,
             final_global,
             counters,
+            restored: restored_sets(config.rf, protected, num_regs),
         })
     }
 }

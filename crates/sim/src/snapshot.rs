@@ -57,8 +57,31 @@
 //!
 //! Global memory is forked copy-on-write ([`GlobalMemory::fork`]), so
 //! each site pays O(pages it actually dirties), not O(heap).
+//!
+//! # Memoization
+//!
+//! Simulated sites with equal [`Recording::memo_key`]s share one replay.
+//! A cell key — (block, warp, lane, register, bit under an unprotected
+//! RF, detecting read) — joins the flips of one cell that one read
+//! observes. Under parity EDC with regions, a flip is caught at its
+//! first read, the instruction aborts, and recovery rolls the warp back
+//! to its latest region entry (derived from the PC stream, see
+//! [`RegionEntry`]) and restores the region's live-ins and the setup
+//! registers. From there two flips the same read caught differ only in
+//! their victim cells, so a site whose cell the recovery mends — its
+//! register is restored, or the cell's first recorded access at or
+//! after the entry is a write — is keyed by its recovery point (block,
+//! warp, detecting read) with `u32::MAX` in the lane and register
+//! slots. [`Recording::run_group`] checks that premise while replaying
+//! a group's representative: the victim warp must retrace the recorded
+//! PCs and flow masks from the entry through the last such first write
+//! and recover once. For the outcomes to be bit-identical, the aborted
+//! instruction counts nothing but its detection: the engine takes back
+//! its partial register reads and thread instructions, which depended
+//! on the lane and operand that tripped.
 
 use penny_core::Protected;
+use penny_ir::RegionId;
 
 use crate::config::{GpuConfig, RfProtection};
 use crate::engine::{
@@ -167,13 +190,34 @@ pub(crate) struct WarpTrace {
     /// from `pcs[t]` onward, which is what lets a per-PC static fact
     /// be attributed to a fault site at trigger `t`.
     pub(crate) masks: Vec<u32>,
+    /// The warp's region entries, in stream order (derived from `pcs`;
+    /// see [`region_entries`]).
+    pub(crate) entries: Vec<RegionEntry>,
+}
+
+/// A warp's region entries, read off its PC stream. The engine crosses
+/// a region marker only by falling through it (markers are skipped
+/// without counting as instructions), so dynamic instruction `t` opens
+/// a region exactly when the slot before `pcs[t]` is a marker: branches
+/// and reconvergence land on block starts, which never follow a marker,
+/// and a fault-free stream has no rollbacks. Consecutive markers leave
+/// the last one's region, as the engine's snapshot does.
+fn region_entries(program: &Program, pcs: &[u32]) -> Vec<RegionEntry> {
+    let entry = |(t, &pc): (usize, &u32)| {
+        let marker = program.decoded.get((pc as usize).checked_sub(1)?)?;
+        match marker.kind {
+            DKind::RegionEntry(region) => Some(RegionEntry { executed: t as u64, region }),
+            _ => None,
+        }
+    };
+    pcs.iter().enumerate().filter_map(entry).collect()
 }
 
 impl WarpTrace {
-    /// Builds a trace from CSR parts; `offsets` must be monotone with
-    /// `offsets[0] == 0` and final entry `flat.len()` (callers: the
-    /// trace builder and the recording deserializer, both of which
-    /// construct exactly that).
+    /// Builds a trace of `program` from CSR parts; `offsets` must be
+    /// monotone with `offsets[0] == 0` and final entry `flat.len()`
+    /// (callers: the trace builder and the recording deserializer, both
+    /// of which construct exactly that).
     pub(crate) fn from_csr(
         offsets: Vec<u32>,
         flat: Vec<Access>,
@@ -181,10 +225,12 @@ impl WarpTrace {
         width: u32,
         pcs: Vec<u32>,
         masks: Vec<u32>,
+        program: &Program,
     ) -> WarpTrace {
         debug_assert_eq!(offsets.first(), Some(&0));
         debug_assert_eq!(offsets.last().copied(), Some(flat.len() as u32));
-        WarpTrace { offsets, flat, final_executed, width, pcs, masks }
+        let entries = region_entries(program, &pcs);
+        WarpTrace { offsets, flat, final_executed, width, pcs, masks, entries }
     }
 
     /// Number of `(lane, reg)` cells.
@@ -221,7 +267,7 @@ impl TraceBuilder {
         }
     }
 
-    fn finish(self) -> WarpTrace {
+    fn finish(self, program: &Program) -> WarpTrace {
         let total: usize = self.cells.iter().map(Vec::len).sum();
         let mut offsets = Vec::with_capacity(self.cells.len() + 1);
         let mut flat = Vec::with_capacity(total);
@@ -237,6 +283,7 @@ impl TraceBuilder {
             self.width,
             self.pcs,
             self.masks,
+            program,
         )
     }
 }
@@ -265,6 +312,19 @@ pub(crate) struct WaveRec {
     pub(crate) snaps: Vec<Snap>,
 }
 
+/// One region entry in a warp's recorded stream, as the engine's region
+/// snapshot ([`crate::warp::WarpSnapshot`]) holds it after the warp
+/// crosses a region marker: a detection rolls the warp back to the
+/// latest entry at or before the detecting read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegionEntry {
+    /// Dynamic index of the region's first instruction (the warp's
+    /// executed count at the crossing).
+    pub executed: u64,
+    /// The region entered.
+    pub region: RegionId,
+}
+
 /// One warp's recorded dynamic stream, borrowed from a [`Recording`].
 #[derive(Debug, Clone, Copy)]
 pub struct WarpStream<'a> {
@@ -278,6 +338,8 @@ pub struct WarpStream<'a> {
     pub pcs: &'a [u32],
     /// Flow mask per dynamic instruction.
     pub masks: &'a [u32],
+    /// Region entries, in stream order.
+    pub entries: &'a [RegionEntry],
 }
 
 /// Counters describing a recording (for observability spans).
@@ -308,6 +370,80 @@ pub struct Recording {
     pub(crate) final_stats: RunStats,
     pub(crate) final_global: GlobalMemory,
     pub(crate) counters: RecordingCounters,
+    /// The registers Penny's recovery rewrites on a rollback into each
+    /// region (the region's live-in restores plus the setup registers),
+    /// indexed by region id; see [`restored_sets`].
+    pub(crate) restored: Vec<Vec<bool>>,
+}
+
+/// The registers recovery rewrites per region, indexed by region id and
+/// register. Empty unless a detection can recover — parity EDC with
+/// regions — so that nothing else gets a recovery-point memo key.
+pub(crate) fn restored_sets(
+    rf: RfProtection,
+    protected: &Protected,
+    num_regs: usize,
+) -> Vec<Vec<bool>> {
+    if !matches!(rf, RfProtection::Edc(_)) || protected.regions.is_empty() {
+        return Vec::new();
+    }
+    let len = protected.regions.iter().map(|r| r.id.index() + 1).max().unwrap_or(0);
+    let mut sets = vec![Vec::new(); len];
+    for r in &protected.regions {
+        let set = &mut sets[r.id.index()];
+        *set = vec![false; num_regs];
+        let setup = protected.setup.iter().map(|(reg, _)| reg);
+        for reg in r.restores.iter().map(|(reg, _)| reg).chain(setup) {
+            if let Some(slot) = set.get_mut(reg.index()) {
+                *slot = true;
+            }
+        }
+    }
+    sets
+}
+
+/// Checks a forked replay against the recording after a rollback: the
+/// victim warp's instructions from the detecting read on must be the
+/// recorded ones from the region entry on, PC and flow mask alike. The
+/// engine's executed count runs on across a rollback, so replayed index
+/// `detect + m` is recorded index `entry + m`.
+struct Retrace<'r> {
+    /// Wave-local block index and warp id of the victim warp.
+    bi: usize,
+    wi: usize,
+    /// The detecting read's dynamic index: the first index the warp
+    /// retires after the rollback.
+    detect: u64,
+    /// The recorded stretch to retrace, from the region entry on.
+    pcs: &'r [u32],
+    masks: &'r [u32],
+    /// Leading instructions of the stretch retraced so far.
+    matched: usize,
+    diverged: bool,
+}
+
+impl Retrace<'_> {
+    /// Whether the whole stretch was retraced without a difference.
+    fn held(&self) -> bool {
+        !self.diverged && self.matched == self.pcs.len()
+    }
+}
+
+impl WaveTrace for Retrace<'_> {
+    fn at_cycle(&mut self, _: &SmEngine<'_>, _: &RunStats) {}
+
+    fn on_inst(&mut self, ev: TraceEvent) {
+        if (ev.bi, ev.wi) != (self.bi, self.wi) || ev.executed < self.detect {
+            return;
+        }
+        let m = (ev.executed - self.detect) as usize;
+        if m < self.pcs.len() {
+            self.diverged |= m != self.matched
+                || self.pcs[m] != ev.pc as u32
+                || self.masks[m] != ev.mask;
+            self.matched = m + 1;
+        }
+    }
 }
 
 /// The wave recorder: captures snapshots on region crossings and
@@ -474,6 +610,69 @@ impl WaveTrace for WaveRecorder<'_> {
     }
 }
 
+/// Collects every warp's region entries from the engine's own region
+/// snapshots, in the dense (block, warp) order of [`Recording`]'s
+/// traces: a warp steps at most once a cycle, so each crossing shows at
+/// the top of the next one.
+struct EntryWatch<'v> {
+    entries: &'v mut [Vec<RegionEntry>],
+    warps_per_block: usize,
+}
+
+impl WaveTrace for EntryWatch<'_> {
+    fn at_cycle(&mut self, eng: &SmEngine<'_>, _: &RunStats) {
+        for b in eng.blocks() {
+            for w in &b.warps {
+                let Some(s) = &w.snapshot else { continue };
+                let slot = b.index as usize * self.warps_per_block + w.id as usize;
+                let list = &mut self.entries[slot];
+                if list.last().map(|e| e.executed) != Some(s.executed) {
+                    list.push(RegionEntry { executed: s.executed, region: s.region });
+                }
+            }
+        }
+    }
+
+    fn on_inst(&mut self, _: TraceEvent) {}
+}
+
+/// Runs `launch` fault-free and reads every warp's region entries off
+/// the engine's region snapshots ([`crate::warp::WarpSnapshot`]) after
+/// each crossing, in [`Recording::warp_streams`] order: the oracle for
+/// the entries a recording derives from its PC streams
+/// ([`WarpStream::entries`]).
+///
+/// # Errors
+///
+/// Fails like [`crate::engine::run`].
+pub fn observed_region_entries(
+    config: &GpuConfig,
+    protected: &Protected,
+    launch: &LaunchConfig,
+    global: &GlobalMemory,
+) -> Result<Vec<Vec<RegionEntry>>, SimError> {
+    check_launch(protected, launch)?;
+    let program = Program::new(&protected.kernel);
+    let warps_per_block = launch.dims.threads_per_block().div_ceil(32) as usize;
+    let mut entries = vec![Vec::new(); launch.dims.blocks() as usize * warps_per_block];
+    let (mut g, mut stats) = (global.fork(), RunStats::default());
+    for slot in wave_plan(config, protected, launch, &program) {
+        let mut watch = EntryWatch { entries: &mut entries, warps_per_block };
+        let blocks = &slot.blocks;
+        SmEngine::for_wave(
+            config,
+            protected,
+            launch,
+            &program,
+            &mut g,
+            blocks,
+            Some(&mut watch),
+        )
+        .run_wave(&mut stats)?;
+    }
+    Ok(entries)
+}
+
 /// The block -> wave index of a wave list, indexed by linear block
 /// index. `Err` names a block that is out of range (the scheduled blocks
 /// are not exactly `0..n`) or scheduled in two waves.
@@ -587,7 +786,7 @@ impl Recording {
             block_waves(&waves).expect("the wave plan schedules each block once");
         let traces = builders
             .into_iter()
-            .map(|b| b.expect("every scheduled warp is traced").finish())
+            .map(|b| b.expect("every scheduled warp is traced").finish(&program))
             .collect();
         let mut final_stats = stats;
         final_stats.cycles = sm_cycles.iter().copied().max().unwrap_or(0);
@@ -608,6 +807,7 @@ impl Recording {
             final_stats,
             final_global: g,
             counters,
+            restored: restored_sets(config.rf, protected, num_regs),
         })
     }
 
@@ -725,28 +925,181 @@ impl Recording {
             width: tr.width,
             pcs: &tr.pcs,
             masks: &tr.masks,
+            entries: &tr.entries,
         })
     }
 
     /// For [`SiteClass::Simulated`] sites: the memoization key under
-    /// which two sites provably share a bit-identical outcome. Two
-    /// simulated sites on the same victim cell whose flips are first
-    /// observed by the same read produce the same run: the flip sits
-    /// architecturally unobserved between trigger and first read, and
-    /// under EDC the corrupted value itself is never seen (so the bit
-    /// index is irrelevant; an unprotected RF observes the value, so
-    /// the bit stays in the key).
+    /// which two sites provably share a bit-identical outcome.
+    ///
+    /// The default key is the victim cell plus the detecting read: two
+    /// sites on one cell whose flips the same read observes produce the
+    /// same run. The flip sits architecturally unobserved between
+    /// trigger and first read, and under EDC the corrupted value itself
+    /// is never seen (so the bit index is irrelevant; an unprotected RF
+    /// observes the value, so the bit stays in the key).
+    ///
+    /// Under parity EDC with regions, a site whose victim cell is mended
+    /// by the recovery is keyed by its recovery point instead — (block,
+    /// warp, detecting read), with `u32::MAX` in the lane and register
+    /// slots — so every cell the read catches shares one replay. The
+    /// read aborts, the warp rolls back to its latest region entry, and
+    /// from there the runs differ only in the victim cells; a cell is
+    /// mended when the recovery restores its register (a live-in of the
+    /// region or a setup register) or when its first recorded access at
+    /// or after the entry is a write. Any other site — a live-in the
+    /// compiler forgot to restore, say — keeps its cell key and its own
+    /// replay. [`Recording::run_group`] checks the premise at run time.
     pub fn memo_key(&self, inj: &Injection) -> Option<(u32, u32, u32, u32, u32, u64)> {
-        match self.classify(inj) {
-            (SiteClass::Simulated, Some(j)) => {
-                let bit = match self.protection {
-                    RfProtection::None => inj.bit,
-                    _ => 0,
-                };
-                Some((inj.block, inj.warp, inj.lane, inj.reg, bit, j))
-            }
+        let (SiteClass::Simulated, Some(j)) = self.classify(inj) else {
+            return None;
+        };
+        if self.recovery_point(inj, j).is_some() {
+            return Some((inj.block, inj.warp, u32::MAX, u32::MAX, 0, j));
+        }
+        let bit = match self.protection {
+            RfProtection::None => inj.bit,
+            _ => 0,
+        };
+        Some((inj.block, inj.warp, inj.lane, inj.reg, bit, j))
+    }
+
+    /// The region entry a simulated site's warp rolls back to when the
+    /// read at `detect` trips, provided the recovery mends the victim
+    /// cell (see [`Recording::memo_key`]); `None` otherwise.
+    fn recovery_point(&self, inj: &Injection, detect: u64) -> Option<RegionEntry> {
+        if self.restored.is_empty() {
+            return None;
+        }
+        let tr = self.trace(inj.block, inj.warp)?;
+        let n = tr.entries.partition_point(|e| e.executed <= detect);
+        let entry = *tr.entries.get(n.checked_sub(1)?)?;
+        self.mended_until(tr, entry, inj.lane, inj.reg).map(|_| entry)
+    }
+
+    /// How far past `entry` the re-execution must retrace the recording
+    /// to mend cell (`lane`, `reg`): `entry.executed` itself (nothing to
+    /// retrace) when recovery restores the register, one past the
+    /// cell's first access at or after the entry when that access is a
+    /// write, `None` when it is a read (the flip would be seen again).
+    fn mended_until(
+        &self,
+        tr: &WarpTrace,
+        entry: RegionEntry,
+        lane: u32,
+        reg: u32,
+    ) -> Option<u64> {
+        let restored =
+            self.restored.get(entry.region.index()).and_then(|s| s.get(reg as usize));
+        if restored == Some(&true) {
+            return Some(entry.executed);
+        }
+        let cell = tr.cell(lane as usize * self.num_regs + reg as usize);
+        let pos = cell.partition_point(|a| a.idx < entry.executed);
+        match cell.get(pos) {
+            Some(a) if !a.read => Some(a.idx + 1),
             _ => None,
         }
+    }
+
+    /// The end (exclusive) of the recorded stretch from `entry` that a
+    /// rollback at `detect` must retrace to mend every cell the read
+    /// there can catch under this recovery point — a superset of any
+    /// one group's members, so the check never depends on sampling.
+    /// The candidates are the registers the recorded instruction reads,
+    /// in the lanes of its flow mask; `u64::MAX` (nothing can be
+    /// retraced) when the recorded PC names no instruction.
+    fn retrace_until(&self, tr: &WarpTrace, entry: RegionEntry, detect: u64) -> u64 {
+        let t = detect as usize;
+        let (Some(&pc), Some(&mask)) = (tr.pcs.get(t), tr.masks.get(t)) else {
+            return u64::MAX;
+        };
+        let Some(d) = self.program.decoded.get(pc as usize) else {
+            return u64::MAX;
+        };
+        let guard = match d.kind {
+            DKind::Branch { pred, .. } => pred,
+            _ => d.guard,
+        };
+        let srcs = d.srcs[..d.nsrcs as usize].iter().filter_map(|s| match *s {
+            DSrc::Reg(r) => Some(r),
+            _ => None,
+        });
+        let mut until = entry.executed;
+        for reg in std::iter::once(guard).chain(srcs) {
+            if reg as usize >= self.num_regs {
+                continue;
+            }
+            let mut lanes = mask;
+            while lanes != 0 {
+                let lane = lanes.trailing_zeros();
+                lanes &= lanes - 1;
+                let cell = tr.cell(lane as usize * self.num_regs + reg as usize);
+                let pos = cell.partition_point(|a| a.idx < detect);
+                if !matches!(cell.get(pos), Some(a) if a.idx == detect && a.read) {
+                    continue;
+                }
+                if let Some(u) = self.mended_until(tr, entry, lane, reg) {
+                    until = until.max(u);
+                }
+            }
+        }
+        until
+    }
+
+    /// Answers the representative of a memo group: [`Recording::run_site`]
+    /// of `rep`, plus whether the run bears out the premise that lets it
+    /// answer the whole group. For a recovery-point key (see
+    /// [`Recording::memo_key`]) that premise is checked: after the
+    /// rollback the victim warp must retrace the recorded PCs and flow
+    /// masks from the region entry through the first write of every
+    /// un-restored cell the detecting read can catch, and the run must
+    /// recover exactly once. A failed check, or a checked run that ends
+    /// in an error, means the group must be split back into cells. A
+    /// recovery point whose caught cells are all restored needs no
+    /// check, and any other key's premise is the site classification
+    /// itself, so those hold.
+    pub fn run_group(
+        &self,
+        config: &GpuConfig,
+        protected: &Protected,
+        rep: Injection,
+    ) -> (Result<SiteRun, SimError>, bool) {
+        let plan = FaultPlan::single(rep);
+        let point = match self.classify(&rep) {
+            (SiteClass::Simulated, Some(j)) => {
+                self.recovery_point(&rep, j).map(|entry| (entry, j))
+            }
+            _ => None,
+        };
+        let Some((entry, detect)) = point else {
+            return (self.run_plan(config, protected, &plan), true);
+        };
+        let tr = self.trace(rep.block, rep.warp).expect("a recovery point has a trace");
+        let span = entry.executed as usize..self.retrace_until(tr, entry, detect) as usize;
+        let (Some(pcs), Some(masks)) = (tr.pcs.get(span.clone()), tr.masks.get(span))
+        else {
+            return (self.run_plan(config, protected, &plan), false);
+        };
+        if pcs.is_empty() {
+            // Every cell the read catches is restored by the recovery.
+            return (self.run_plan(config, protected, &plan), true);
+        }
+        let wave = &self.waves[self.block_wave[rep.block as usize]];
+        let mut check = Retrace {
+            bi: wave.blocks.iter().position(|&b| b == rep.block).expect("victim block"),
+            wi: rep.warp as usize,
+            detect,
+            pcs,
+            masks,
+            matched: 0,
+            diverged: false,
+        };
+        let run =
+            self.simulate_site(config, protected, &plan, rep, detect, Some(&mut check));
+        let once = |s: &SiteRun| s.stats.recoveries == self.final_stats.recoveries + 1;
+        let held = check.held() && run.as_ref().is_ok_and(once);
+        (run, held)
     }
 
     /// Answers one single-bit injection site: [`Recording::run_plan`]
@@ -832,13 +1185,14 @@ impl Recording {
                 plan,
                 site,
                 first_read.expect("simulated sites carry a first-read index"),
+                None,
             ),
         }
     }
 
     /// Honest replay of a site whose flip is observed by a read: fork
-    /// the victim wave from the latest valid snapshot, replay it, then
-    /// splice or simulate the remainder.
+    /// the victim wave from the latest valid snapshot, replay it (under
+    /// `check`, when given), then splice or simulate the remainder.
     fn simulate_site(
         &self,
         config: &GpuConfig,
@@ -846,6 +1200,7 @@ impl Recording {
         plan: &FaultPlan,
         site: Injection,
         first_read: u64,
+        check: Option<&mut Retrace<'_>>,
     ) -> Result<SiteRun, SimError> {
         let k = self.block_wave[site.block as usize];
         let wave = &self.waves[k];
@@ -867,6 +1222,7 @@ impl Recording {
         };
         let replay_base = stats.warp_instructions;
         let faulty_cycles = {
+            let trace = check.map(|c| c as &mut dyn WaveTrace);
             let mut eng = match snap {
                 Some(s) => SmEngine::restore(
                     config,
@@ -875,6 +1231,7 @@ impl Recording {
                     &self.program,
                     &mut global,
                     &s.state,
+                    trace,
                 ),
                 None => SmEngine::for_wave(
                     config,
@@ -883,7 +1240,7 @@ impl Recording {
                     &self.program,
                     &mut global,
                     &wave.blocks,
-                    None,
+                    trace,
                 ),
             };
             eng.run_wave(&mut stats)?
@@ -951,5 +1308,72 @@ impl Recording {
                 pages_copied,
             })
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use penny_coding::Scheme;
+    use penny_core::{compile, LaunchDims, PennyConfig};
+
+    use super::*;
+
+    const KERNEL: &str = r#"
+        .kernel work .params A B
+        entry:
+            mov.u32 %r0, %tid.x
+            mov.u32 %r1, %ctaid.x
+            mov.u32 %r2, %ntid.x
+            mad.u32 %r3, %r1, %r2, %r0
+            ld.param.u32 %r4, [A]
+            ld.param.u32 %r5, [B]
+            shl.u32 %r7, %r3, 2
+            add.u32 %r8, %r4, %r7
+            add.u32 %r9, %r5, %r7
+            ld.global.u32 %r10, [%r8]
+            mul.u32 %r11, %r10, 3
+            add.u32 %r12, %r11, %r3
+            st.global.u32 [%r9], %r12
+            ret
+    "#;
+
+    /// `run_group` holds a recovery-point replay to the recorded stream:
+    /// the replay of a group whose caught cells need a retrace passes
+    /// against its own recording and fails against one whose stream
+    /// differs inside the window.
+    #[test]
+    fn run_group_checks_the_replay_retraces_the_recording() {
+        let kernel = penny_ir::parse_kernel(KERNEL).expect("parse");
+        let dims = LaunchDims::linear(2, 64);
+        let protected =
+            compile(&kernel, &PennyConfig::penny().with_launch(dims)).expect("compile");
+        let config = GpuConfig::fermi().with_rf(RfProtection::Edc(Scheme::Parity));
+        let launch = LaunchConfig::new(dims, vec![0x1_0000, 0x2_0000]);
+        let mut rec = Recording::record(&config, &protected, &launch, &GlobalMemory::new())
+            .expect("record");
+        let tr = rec.trace(0, 0).expect("warp 0");
+        let windowed = (1..tr.final_executed)
+            .flat_map(|t| (0..rec.num_regs as u32).map(move |reg| (t, reg)))
+            .find_map(|(t, reg)| {
+                let inj = Injection {
+                    block: 0,
+                    warp: 0,
+                    lane: 5,
+                    reg,
+                    bit: 0,
+                    after_warp_insts: t,
+                };
+                let (SiteClass::Simulated, Some(j)) = rec.classify(&inj) else {
+                    return None;
+                };
+                let entry = rec.recovery_point(&inj, j)?;
+                (rec.retrace_until(tr, entry, j) > entry.executed).then_some((inj, entry))
+            });
+        let (inj, entry) = windowed.expect("a group that needs a retrace");
+        let (run, held) = rec.run_group(&config, &protected, inj);
+        assert!(run.is_ok() && held, "the faithful replay retraces the recording");
+        rec.traces[0].masks[entry.executed as usize] ^= 1;
+        let (run, held) = rec.run_group(&config, &protected, inj);
+        assert!(run.is_ok() && !held, "a replay off the recorded stream must not hold");
     }
 }

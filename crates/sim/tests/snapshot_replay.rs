@@ -4,6 +4,8 @@
 //! across all four site classes (never-fires, invisible,
 //! corrected-inline, simulated), for single-bit and multi-bit plans.
 
+use std::collections::HashMap;
+
 use penny_coding::Scheme;
 use penny_core::{compile, LaunchDims, PennyConfig, Protection};
 use penny_sim::{
@@ -229,6 +231,8 @@ fn simulated_sites_include_spliced_and_memoizable_runs() {
         .expect("record");
     let mut spliced = 0u32;
     let mut replay_savings = false;
+    let mut first_of_key = HashMap::new();
+    let mut cross_cell = 0u32;
     for inj in site_grid() {
         if rec.site_class(&inj) != SiteClass::Simulated {
             continue;
@@ -248,7 +252,23 @@ fn simulated_sites_include_spliced_and_memoizable_runs() {
             assert_eq!(t.stats, site.stats, "memo twins diverge at {inj:?}");
             assert_eq!(t.global, site.global, "memo twin memory diverges at {inj:?}");
         }
+        // Across cells: a recovery-point key is shared by flips in
+        // different cells of one warp that one read detects, so a grid
+        // site in another cell with the same key is a twin too.
+        match first_of_key.get(&key) {
+            None => {
+                first_of_key.insert(key, (inj, site));
+            }
+            Some((first, run)) if (first.lane, first.reg) != (inj.lane, inj.reg) => {
+                assert_eq!((first.block, first.warp), (inj.block, inj.warp));
+                assert_eq!(run.stats, site.stats, "cross-cell twins {first:?} {inj:?}");
+                assert_eq!(run.global, site.global, "cross-cell twins {first:?} {inj:?}");
+                cross_cell += 1;
+            }
+            Some(_) => {}
+        }
     }
+    assert!(cross_cell > 0, "the grid draws cross-cell memo twins");
     assert!(spliced > 0, "EDC recovery restores memory, so splices must occur");
     assert!(replay_savings, "forked replays never beat the cold cost");
     assert!(rec.counters().snapshots > 0, "regions must produce snapshots");
@@ -269,7 +289,10 @@ fn recordings_reject_fault_plans() {
 /// a cell once for all its bits: which bit of the victim register flips
 /// changes neither the static attribution point, nor the site class,
 /// nor the memo key — except that an unprotected RF keeps the bit in
-/// the key, since there the corrupted value is observed.
+/// a cell key, since there the corrupted value is observed. A
+/// recovery-point key (`u32::MAX` in the lane and register slots) names
+/// no cell and no bit, and only parity EDC with regions (Penny) has
+/// them: a SECDED or unprotected RF never recovers by rollback.
 #[test]
 fn static_point_class_and_memo_key_ignore_the_bit() {
     for protection in [Protection::Penny, Protection::IGpu, Protection::None] {
@@ -277,25 +300,34 @@ fn static_point_class_and_memo_key_ignore_the_bit() {
         let rec = Recording::record(&r.gpu_config, &r.protected, &r.launch, &r.seeded)
             .expect("record");
         let bits = penny_sim::RegFile::new(1, r.gpu_config.rf).codeword_bits();
-        let mut keyed = 0usize;
+        let (mut keyed, mut recovery_points) = (0usize, 0usize);
         for inj in site_grid() {
             let zero = Injection { bit: 0, ..inj };
             let (point, class, key) =
                 (rec.static_point(&zero), rec.site_class(&zero), rec.memo_key(&zero));
             keyed += key.is_some() as usize;
+            let point_key = key.is_some_and(|(_, _, l, reg, _, _)| {
+                assert_eq!(l == u32::MAX, reg == u32::MAX, "{protection:?} {zero:?}");
+                l == u32::MAX
+            });
+            recovery_points += point_key as usize;
             for bit in 0..bits {
                 let flip = Injection { bit, ..inj };
                 assert_eq!(rec.static_point(&flip), point, "{protection:?} {flip:?}");
                 assert_eq!(rec.site_class(&flip), class, "{protection:?} {flip:?}");
                 let expected = key.map(|(b, w, l, reg, _, read)| {
-                    let keyed_bit = if protection == Protection::None { bit } else { 0 };
-                    (b, w, l, reg, keyed_bit, read)
+                    let cell_bit = protection == Protection::None && !point_key;
+                    (b, w, l, reg, if cell_bit { bit } else { 0 }, read)
                 });
                 assert_eq!(rec.memo_key(&flip), expected, "{protection:?} {flip:?}");
             }
         }
         if protection != Protection::IGpu {
             assert!(keyed > 0, "{protection:?}: grid exercises memo keys");
+        }
+        match protection {
+            Protection::Penny => assert!(recovery_points > 0, "grid draws recovery points"),
+            _ => assert_eq!(recovery_points, 0, "{protection:?} has no recovery points"),
         }
     }
 }

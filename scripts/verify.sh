@@ -19,9 +19,14 @@
 #      to the fault-free final memory under each protected scheme,
 #      answered through the snapshot/replay engine; plus the
 #      snapshot-equivalence suite (forked sites bit-identical to
-#      from-scratch runs) and the campaign-throughput gate
-#      (snapshot-vs-cold site throughput >= 20x, best of 3, written to
-#      BENCH_eval.json);
+#      from-scratch runs, memo twins within and across cells), the
+#      harness unit tests (every member of sampled recovery-point
+#      groups against its representative), the whole integration
+#      suite in release (shard-merge byte identity, the pinned
+#      exhaustive MT reports), a sharded exhaustive sweep (each shard
+#      answers exactly the positions it owns), and the
+#      campaign-throughput gate (snapshot-vs-cold site throughput >=
+#      20x, best of 3, written to BENCH_eval.json);
 #   6b. the penny-herd orchestration gate: the supervised-shard test
 #      suite (crash-injected retry, partial degradation, timeout
 #      kill), then a 4-shard local MT campaign that must merge
@@ -43,11 +48,14 @@
 #   6e. the benchmark: first a `--locked` build of perfbench/, so a
 #      dependency change in any crate the benchmark builds fails here
 #      instead of silently rewriting the frozen perfbench/Cargo.lock;
-#      then the traced sweeps (perfbench/run.sh --trace 1, one second
+#      then the traced runs (perfbench/run.sh --trace 1, one second
 #      each): `sweep-static` and `sweep-exhaustive` re-drive every pair
 #      site by site through the public per-site calls and exit non-zero
 #      unless the re-driven report is byte-identical JSON to the
-#      program's cell-at-a-time report;
+#      program's cell-at-a-time report, and `campaign` does the same for
+#      25 workloads × 4 shards plus the generated kernels, work counters
+#      included — the widest check that the program groups sites
+#      exactly by `Recording::memo_key`;
 #   7. the observability layer: the unit tests of the JSON codec
 #      (penny_obs::json), the span-schema validator and the
 #      shard-report round trip (penny_bench::json); penny-prof over all
@@ -98,6 +106,13 @@ cargo test --release -p penny-sim --test snapshot_replay
 
 echo "==> conformance: fault-space recovery harness"
 cargo test -q -p penny-bench conformance
+
+echo "==> conformance: integration suite (shard merges, pinned reports)"
+cargo test --release -p penny-bench --test conformance
+
+echo "==> conformance: a sharded exhaustive sweep answers its own positions"
+cargo run -q --release -p penny-bench --bin penny-eval -- \
+    conformance-exhaustive --shard 1/2 > /dev/null
 
 echo "==> conformance: campaign throughput gate (>= 20x vs cold)"
 cargo run -q --release -p penny-bench --bin penny-eval -- \
@@ -157,11 +172,13 @@ echo "==> benchmark: build against the frozen perfbench/Cargo.lock"
 CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}" \
     cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
-echo "==> benchmark: traced sweeps re-drive site by site to the same reports"
+echo "==> benchmark: traced runs re-drive site by site to the same reports"
 bench_dir="$(mktemp -d)"
 perfbench/run.sh --workload sweep-static --seed 1 --seconds 1 --trace 1 \
     --out "$bench_dir" > /dev/null
 perfbench/run.sh --workload sweep-exhaustive --seed 1 --seconds 1 --trace 1 \
+    --out "$bench_dir" > /dev/null
+perfbench/run.sh --workload campaign --seed 1 --seconds 1 --trace 1 \
     --out "$bench_dir" > /dev/null
 rm -rf "$bench_dir"
 
