@@ -38,6 +38,7 @@
 //! status out".
 
 use std::collections::BTreeMap;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -198,6 +199,33 @@ fn shard_command(spec: &CampaignSpec, template: &CommandTemplate, index: u32) ->
     cmd
 }
 
+/// Spawn attempts made while the program file is busy.
+const BUSY_SPAWN_ATTEMPTS: u32 = 50;
+
+/// Pause between spawn attempts on a busy program file.
+const BUSY_SPAWN_PAUSE: Duration = Duration::from_millis(10);
+
+/// Spawns `cmd`, retrying while its program file is busy (`ETXTBSY`):
+/// a script written just before the campaign stays busy while any
+/// process holds it open for writing, and a child forked by another
+/// thread inherits such a handle until it execs, so the error clears on
+/// its own. Any other spawn error is returned at once.
+fn spawn_retrying(cmd: &mut Command) -> io::Result<Child> {
+    let mut attempt = 1;
+    loop {
+        match cmd.spawn() {
+            Err(e)
+                if e.kind() == io::ErrorKind::ExecutableFileBusy
+                    && attempt < BUSY_SPAWN_ATTEMPTS =>
+            {
+                attempt += 1;
+                std::thread::sleep(BUSY_SPAWN_PAUSE);
+            }
+            spawned => return spawned,
+        }
+    }
+}
+
 /// Validates a spec before any process is spawned.
 fn check_spec(spec: &CampaignSpec) -> Result<(), String> {
     if spec.shards == 0 {
@@ -296,7 +324,7 @@ pub fn run_campaign(
                     // out) attempt must not satisfy this one.
                     let _ = std::fs::remove_file(report_path(&spec.out_dir, slot.index));
                     let mut cmd = shard_command(spec, template, slot.index);
-                    match cmd.spawn() {
+                    match spawn_retrying(&mut cmd) {
                         Ok(child) => {
                             eprintln!(
                                 "penny-herd: shard {}/{} attempt {} started",
@@ -309,8 +337,10 @@ pub fn run_campaign(
                             };
                         }
                         Err(e) => {
-                            // Unspawnable commands never improve with
-                            // retries; fail the whole campaign loudly.
+                            // Apart from a busy program file, which
+                            // `spawn_retrying` waits out, unspawnable
+                            // commands never improve with retries; fail
+                            // the whole campaign loudly.
                             return Err(format!(
                                 "spawning {}: {e}",
                                 template.program.display()
@@ -474,4 +504,43 @@ fn merge_survivors(
         }
     }
     Ok(merged)
+}
+
+#[cfg(all(test, unix))]
+mod tests {
+    use std::os::unix::fs::PermissionsExt;
+
+    use super::*;
+
+    #[test]
+    fn a_busy_program_file_is_spawned_once_released() {
+        let dir =
+            std::env::temp_dir().join(format!("penny-herd-busy-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        let script = dir.join("busy.sh");
+        std::fs::write(&script, "#!/bin/sh\nexit 0\n").expect("write script");
+        let mut perms = std::fs::metadata(&script).expect("stat script").permissions();
+        perms.set_mode(0o755);
+        std::fs::set_permissions(&script, perms).expect("chmod script");
+
+        // While a write handle is open, every exec fails with ETXTBSY.
+        let handle = std::fs::OpenOptions::new().write(true).open(&script).expect("open");
+        let err = Command::new(&script).spawn().expect_err("a busy file does not exec");
+        assert_eq!(err.kind(), io::ErrorKind::ExecutableFileBusy);
+        let release = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            drop(handle);
+        });
+        let mut child = spawn_retrying(&mut Command::new(&script))
+            .expect("the spawn succeeds once the handle is dropped");
+        assert!(child.wait().expect("wait").success());
+        release.join().expect("release thread");
+
+        // Other spawn errors are not retried.
+        let missing = spawn_retrying(&mut Command::new(dir.join("missing.sh")))
+            .expect_err("a missing program cannot spawn");
+        assert_eq!(missing.kind(), io::ErrorKind::NotFound);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -22,16 +22,31 @@
 //!
 //! # Execution paths
 //!
-//! The hot path ([`run`], [`run_reference`]) interprets the pre-decoded
-//! micro-op table ([`crate::program::DecodedInst`]): fixed-size operand
-//! slots, pre-resolved register indices and branch targets, and the
-//! fault-aware register-file fast path (`RegFile::read`). The
-//! cross-check path ([`run_decode_reference`]) re-interprets the
-//! original `penny_ir` instruction stream with unconditional codec
-//! decodes (`RegFile::read_reference`) — the pre-decoding behavior,
-//! kept alive so tests can pin the decoded path to it bit-for-bit,
-//! exactly as the dense loop ([`run_reference`]) pins the event-driven
-//! scheduler.
+//! Each warp has one register file ([`BlockCtx::rfs`]) whose values are
+//! stored register-major: one register's lanes form a row. The hot path
+//! ([`run`], [`run_reference`]) interprets the pre-decoded micro-op
+//! table ([`crate::program::DecodedInst`]): fixed-size operand slots,
+//! pre-resolved register indices and branch targets, and two ways to
+//! gather operands:
+//!
+//! * the **row path**, when no operand row (guard, register sources,
+//!   branch predicate) has a dirty cell in a live lane: rows are read
+//!   directly, the reads counted in bulk, and results written back as a
+//!   row (`RegFile::write_row`) — no codec, no per-lane file lookup;
+//! * the **per-lane path**, when some operand row holds a corrupted live
+//!   cell: lane by lane, operand by operand through `RegFile::read`, as
+//!   before warp files existed. It stays because detection order is
+//!   observable: the first dirty cell in lane-then-operand order aborts
+//!   the instruction, an ECC correction scrubs before later reads, and
+//!   `undo_aborted` takes back exactly the reads made up to the trip.
+//!
+//! Both paths count the same reads and writes, so [`RunStats`] does
+//! not depend on which one ran. The cross-check path
+//! ([`run_decode_reference`]) re-interprets the original `penny_ir`
+//! instruction stream lane by lane with unconditional codec decodes
+//! (`RegFile::read_reference`) — the pre-decoding behavior, kept alive
+//! so tests can pin the decoded path to it bit-for-bit, exactly as the
+//! dense loop ([`run_reference`]) pins the event-driven scheduler.
 
 use penny_core::{LaunchDims, Protected};
 use penny_ir::{MemSpace, Op, Operand, Special, Terminator};
@@ -42,7 +57,7 @@ use crate::fault::FaultPlan;
 use crate::memory::{GlobalMemory, SharedMemory};
 use crate::program::{DKind, DSrc, DecodedInst, PInst, Program, NO_REG};
 use crate::recovery;
-use crate::regfile::{ReadOutcome, RegFile, RfStats};
+use crate::regfile::{ReadOutcome, RegFile, RfStats, WARP_LANES};
 use crate::warp::{StackEntry, Warp};
 use crate::SimError;
 
@@ -104,15 +119,6 @@ impl LaunchConfig {
     }
 }
 
-/// One thread's context.
-#[derive(Clone)]
-pub struct ThreadCtx {
-    /// Register file.
-    pub rf: RegFile,
-    /// Thread coordinates within the block.
-    pub tid: (u32, u32),
-}
-
 /// One resident thread block.
 #[derive(Clone)]
 pub struct BlockCtx {
@@ -122,10 +128,44 @@ pub struct BlockCtx {
     pub cta: (u32, u32),
     /// Shared memory (program data + checkpoint arena).
     pub shared: SharedMemory,
-    /// Threads, row-major.
-    pub threads: Vec<ThreadCtx>,
+    /// One register file per warp, [`WARP_LANES`] lanes each: the
+    /// block's thread `t` (row-major) owns lane `t % 32` of file
+    /// `t / 32`.
+    pub rfs: Vec<RegFile>,
     /// Warps.
     pub warps: Vec<Warp>,
+}
+
+/// Coordinates within the block of the block's thread `thread`
+/// (threads are numbered row-major).
+pub(crate) fn thread_tid(thread: u32, dims: &LaunchDims) -> (u32, u32) {
+    (thread % dims.block.0, thread / dims.block.0)
+}
+
+/// The lanes set in `mask`, in ascending order.
+fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
+/// Whether every operand row `d` reads — its guard and register
+/// sources — is clean in the lanes of `mask`.
+fn rows_clean(rf: &RegFile, mask: u32, d: &DecodedInst) -> bool {
+    if rf.dirty_count() == 0 {
+        return true;
+    }
+    let mut dirty = if d.guard != NO_REG { rf.dirty_lanes(d.guard as usize) } else { 0 };
+    for &src in &d.srcs[..d.nsrcs as usize] {
+        if let DSrc::Reg(r) = src {
+            dirty |= rf.dirty_lanes(r as usize);
+        }
+    }
+    dirty & mask == 0
 }
 
 /// Values of the special registers for a given thread.
@@ -438,13 +478,10 @@ impl<'a> SmEngine<'a> {
             .iter()
             .map(|&bi| {
                 let cta = (bi % dims.grid.0, bi / dims.grid.0);
-                let threads = (0..tpb)
-                    .map(|t| ThreadCtx {
-                        rf: RegFile::new(program.num_regs.max(1), config.rf),
-                        tid: (t % dims.block.0, t / dims.block.0),
-                    })
-                    .collect();
                 let nwarps = tpb.div_ceil(32);
+                let rfs = (0..nwarps)
+                    .map(|_| RegFile::warp(program.num_regs.max(1), config.rf))
+                    .collect();
                 let warps = (0..nwarps)
                     .map(|w| {
                         let base = w * 32;
@@ -462,7 +499,7 @@ impl<'a> SmEngine<'a> {
                     index: bi,
                     cta,
                     shared: SharedMemory::new(shared_bytes),
-                    threads,
+                    rfs,
                     warps,
                 }
             })
@@ -681,7 +718,6 @@ impl<'a> SmEngine<'a> {
         let block_index = self.blocks[bi].index;
         let warp = &self.blocks[bi].warps[wi];
         let executed = warp.executed;
-        let base_thread = warp.base_thread;
         let width = warp.width;
         let warp_id = warp.id;
         // `launch` lives for 'a, not for the `&mut self` borrow, so the
@@ -693,12 +729,11 @@ impl<'a> SmEngine<'a> {
             }
             self.faults_applied[i] = true;
             self.faults_remaining -= 1;
-            let t = (base_thread + f.lane) as usize;
-            // `flip_bit` marks the victim register dirty, steering its
-            // next read through the full codec decode.
-            let rf = &mut self.blocks[bi].threads[t].rf;
+            // `flip_bit` marks the victim cell dirty, steering its next
+            // read through the full codec decode.
+            let rf = &mut self.blocks[bi].rfs[wi];
             if (f.reg as usize) < rf.len() {
-                rf.flip_bit(f.reg as usize, f.bit);
+                rf.flip_bit(rf.cell(f.reg as usize, f.lane as usize), f.bit);
             }
         }
     }
@@ -724,17 +759,19 @@ impl<'a> SmEngine<'a> {
     // Decoded fast path
     // ---------------------------------------------------------------
 
-    /// Reads a register for one lane (fast path), surfacing detections.
+    /// Reads a register for one lane (per-lane path), surfacing
+    /// detections.
     #[inline]
     fn read_reg(
         &mut self,
         bi: usize,
-        thread: usize,
+        wi: usize,
+        lane: usize,
         reg: u32,
         stats: &mut RunStats,
     ) -> Result<u32, StepFault> {
-        let rf = &mut self.blocks[bi].threads[thread].rf;
-        match rf.read(reg as usize, &mut stats.rf) {
+        let rf = &mut self.blocks[bi].rfs[wi];
+        match rf.read(rf.cell(reg as usize, lane), &mut stats.rf) {
             ReadOutcome::Ok(v) | ReadOutcome::CorrectedInline(v) => Ok(v),
             ReadOutcome::Detected => Err(self.read_fault(reg)),
         }
@@ -808,13 +845,13 @@ impl<'a> SmEngine<'a> {
 
     /// Takes back what an instruction aborted by a detection had
     /// counted: its register reads up to and including the one that
-    /// tripped (the first read, in lane and operand order, of a
-    /// register still dirty), and a branch's per-lane thread
-    /// instructions. Those counts depend on which lane and operand
-    /// tripped, and the re-execution after recovery counts the
-    /// instruction again; undone, a detection adds one `detected` count
-    /// wherever it lands. Both interpreters read operands in the
-    /// decoded order, so both undo through `d`.
+    /// tripped (the first read, in lane and operand order, of a cell
+    /// still dirty), and a branch's per-lane thread instructions. Those
+    /// counts depend on which lane and operand tripped, and the
+    /// re-execution after recovery counts the instruction again;
+    /// undone, a detection adds one `detected` count wherever it lands.
+    /// Both interpreters read operands in the decoded order, so both
+    /// undo through `d`.
     fn undo_aborted(
         &self,
         bi: usize,
@@ -823,17 +860,12 @@ impl<'a> SmEngine<'a> {
         d: &DecodedInst,
         stats: &mut RunStats,
     ) {
-        let warp = &self.blocks[bi].warps[wi];
-        let threads = &self.blocks[bi].threads[warp.base_thread as usize..];
+        let rf = &self.blocks[bi].rfs[wi];
         let (mut reads, mut insts) = (0u64, 0u64);
-        'lanes: for (lane, thread) in threads.iter().take(warp.width as usize).enumerate() {
-            if flow.mask & (1 << lane) == 0 {
-                continue;
-            }
-            let rf = &thread.rf;
+        'lanes: for lane in lanes(flow.mask) {
             let mut trips = |reg: u32| {
                 reads += 1;
-                rf.is_dirty(reg as usize)
+                rf.is_dirty(rf.cell(reg as usize, lane))
             };
             if let DKind::Branch { pred, .. } = d.kind {
                 if trips(pred) {
@@ -846,7 +878,7 @@ impl<'a> SmEngine<'a> {
                 if trips(d.guard) {
                     break;
                 }
-                if (rf.peek(d.guard as usize) != 0) == d.guard_negated {
+                if (rf.peek(rf.cell(d.guard as usize, lane)) != 0) == d.guard_negated {
                     continue;
                 }
             }
@@ -885,19 +917,28 @@ impl<'a> SmEngine<'a> {
             }
             DKind::Branch { pred, negated, then_pc, else_pc, reconv } => {
                 // Phase 1: read the predicate for every lane (detections
-                // fire before any control-state change).
+                // fire before any control-state change). A predicate row
+                // clean in every live lane is read whole.
                 self.last_active = flow.mask;
-                let base = self.blocks[bi].warps[wi].base_thread as usize;
+                let rf = &self.blocks[bi].rfs[wi];
                 let mut taken = 0u32;
-                for lane in 0..32 {
-                    if flow.mask & (1 << lane) == 0 {
-                        continue;
+                if rf.dirty_lanes(pred as usize) & flow.mask == 0 {
+                    let live = u64::from(flow.mask.count_ones());
+                    stats.rf.reads += live;
+                    stats.instructions += live;
+                    let row = rf.row(pred as usize);
+                    for lane in lanes(flow.mask) {
+                        if (row[lane] != 0) ^ negated {
+                            taken |= 1 << lane;
+                        }
                     }
-                    let v = self.read_reg(bi, base + lane, pred, stats)?;
-                    stats.instructions += 1;
-                    let p = (v != 0) ^ negated;
-                    if p {
-                        taken |= 1 << lane;
+                } else {
+                    for lane in lanes(flow.mask) {
+                        let v = self.read_reg(bi, wi, lane, pred, stats)?;
+                        stats.instructions += 1;
+                        if (v != 0) ^ negated {
+                            taken |= 1 << lane;
+                        }
                     }
                 }
                 let not_taken = flow.mask & !taken;
@@ -934,44 +975,19 @@ impl<'a> SmEngine<'a> {
         d: &DecodedInst,
         stats: &mut RunStats,
     ) -> Result<u64, StepFault> {
-        let base = self.blocks[bi].warps[wi].base_thread as usize;
-        let width = self.blocks[bi].warps[wi].width;
         let nsrcs = d.nsrcs as usize;
         // ---- Phase 1: gather operands (and guards) for all lanes. ----
-        let mut lane_active = [false; 32];
-        let mut active_mask = 0u32;
-        let mut lane_srcs = [[0u32; penny_ir::MAX_SRCS]; 32];
-        for lane in 0..width as usize {
-            if flow.mask & (1 << lane) == 0 {
-                continue;
-            }
-            let thread = base + lane;
-            if d.guard != NO_REG {
-                let gv = self.read_reg(bi, thread, d.guard, stats)?;
-                if (gv != 0) == d.guard_negated {
-                    continue;
-                }
-            }
-            lane_active[lane] = true;
-            active_mask |= 1 << lane;
-            let (slots, srcs) = (&mut lane_srcs[lane][..nsrcs], &d.srcs[..nsrcs]);
-            for (slot, &src) in slots.iter_mut().zip(srcs) {
-                *slot = match src {
-                    DSrc::Imm(v) => v,
-                    DSrc::Reg(r) => self.read_reg(bi, thread, r, stats)?,
-                    DSrc::Special(s) => {
-                        let t = &self.blocks[bi].threads[thread];
-                        special_value(s, t.tid, self.blocks[bi].cta, &self.launch.dims)
-                    }
-                };
-            }
-        }
-
-        self.last_active = active_mask;
+        let mut lane_srcs = [[0u32; penny_ir::MAX_SRCS]; WARP_LANES];
+        let active = if rows_clean(&self.blocks[bi].rfs[wi], flow.mask, d) {
+            self.gather_rows(bi, wi, flow.mask, d, &mut lane_srcs, stats)
+        } else {
+            self.gather_lanes(bi, wi, flow.mask, d, &mut lane_srcs, stats)?
+        };
+        self.last_active = active;
 
         // ---- Phase 2: effects. ----
-        let active_count = lane_active.iter().filter(|&&a| a).count() as u64;
-        stats.instructions += active_count;
+        stats.instructions += u64::from(active.count_ones());
+        let mut results = [0u32; WARP_LANES];
         match d.kind {
             DKind::Bar => {
                 self.blocks[bi].warps[wi].at_barrier = true;
@@ -986,22 +1002,12 @@ impl<'a> SmEngine<'a> {
             DKind::Ld(space) => {
                 let mut addrs = std::mem::take(&mut self.scratch_addrs);
                 addrs.clear();
-                for lane in 0..32 {
-                    if !lane_active[lane] {
-                        continue;
-                    }
+                for lane in lanes(active) {
                     let addr = lane_srcs[lane][0].wrapping_add(d.offset);
-                    let v = self.load(bi, space, addr, stats);
-                    let thread = base + lane;
-                    if d.dst != NO_REG {
-                        self.blocks[bi].threads[thread].rf.write(
-                            d.dst as usize,
-                            v,
-                            &mut stats.rf,
-                        );
-                    }
+                    results[lane] = self.load(bi, space, addr, stats);
                     addrs.push(addr);
                 }
+                self.write_dst(bi, wi, d.dst, active, &results, stats);
                 let lat = self.mem_latency(space, &addrs, true, stats);
                 self.scratch_addrs = addrs;
                 Ok(lat)
@@ -1009,10 +1015,7 @@ impl<'a> SmEngine<'a> {
             DKind::St(space) => {
                 let mut addrs = std::mem::take(&mut self.scratch_addrs);
                 addrs.clear();
-                for lane in 0..32 {
-                    if !lane_active[lane] {
-                        continue;
-                    }
+                for lane in lanes(active) {
                     let addr = lane_srcs[lane][0].wrapping_add(d.offset);
                     let v = lane_srcs[lane][1];
                     self.store(bi, space, addr, v, stats);
@@ -1025,10 +1028,7 @@ impl<'a> SmEngine<'a> {
             DKind::Atom(aop, space) => {
                 let mut addrs = std::mem::take(&mut self.scratch_addrs);
                 addrs.clear();
-                for lane in 0..32 {
-                    if !lane_active[lane] {
-                        continue;
-                    }
+                for lane in lanes(active) {
                     let addr = lane_srcs[lane][0].wrapping_add(d.offset);
                     let operand = lane_srcs[lane][1];
                     let old = self.load(bi, space, addr, stats);
@@ -1040,16 +1040,10 @@ impl<'a> SmEngine<'a> {
                         penny_ir::AtomOp::Cas => operand, // simple model
                     };
                     self.store(bi, space, addr, new, stats);
-                    let thread = base + lane;
-                    if d.dst != NO_REG {
-                        self.blocks[bi].threads[thread].rf.write(
-                            d.dst as usize,
-                            old,
-                            &mut stats.rf,
-                        );
-                    }
+                    results[lane] = old;
                     addrs.push(addr);
                 }
+                self.write_dst(bi, wi, d.dst, active, &results, stats);
                 if !addrs.is_empty() {
                     // The RMW is committed; recovery must not replay it.
                     self.blocks[bi].warps[wi].atomic_since_snapshot = true;
@@ -1059,26 +1053,120 @@ impl<'a> SmEngine<'a> {
                 Ok(lat)
             }
             DKind::Alu { op, ty, ty2 } => {
-                for lane in 0..32 {
-                    if !lane_active[lane] {
-                        continue;
-                    }
-                    let v = crate::alu::eval(op, ty, ty2, &lane_srcs[lane][..nsrcs]);
-                    let thread = base + lane;
-                    if d.dst != NO_REG {
-                        self.blocks[bi].threads[thread].rf.write(
-                            d.dst as usize,
-                            v,
-                            &mut stats.rf,
-                        );
-                    }
+                for lane in lanes(active) {
+                    results[lane] =
+                        crate::alu::eval(op, ty, ty2, &lane_srcs[lane][..nsrcs]);
                 }
+                self.write_dst(bi, wi, d.dst, active, &results, stats);
                 Ok(self.config.latency_of(op) as u64)
             }
             // Control kinds are handled by `exec_decoded` before phase 1.
             DKind::Ret | DKind::Jump { .. } | DKind::Branch { .. } => {
                 unreachable!("control micro-ops do not reach exec_inst_decoded")
             }
+        }
+    }
+
+    /// Phase 1 on the row path, taken when every operand row is clean in
+    /// the live lanes of `mask`: no read can detect, correct or corrupt
+    /// anything, so rows are read directly and the reads counted in
+    /// bulk — one per live lane for the guard, one per active lane for
+    /// each register source, exactly as [`SmEngine::gather_lanes`]
+    /// counts them. Returns the active lanes.
+    fn gather_rows(
+        &self,
+        bi: usize,
+        wi: usize,
+        mask: u32,
+        d: &DecodedInst,
+        lane_srcs: &mut [[u32; penny_ir::MAX_SRCS]; WARP_LANES],
+        stats: &mut RunStats,
+    ) -> u32 {
+        let block = &self.blocks[bi];
+        let rf = &block.rfs[wi];
+        let mut active = mask;
+        if d.guard != NO_REG {
+            stats.rf.reads += u64::from(mask.count_ones());
+            let guard = rf.row(d.guard as usize);
+            for lane in lanes(mask) {
+                if (guard[lane] != 0) == d.guard_negated {
+                    active &= !(1 << lane);
+                }
+            }
+        }
+        let base = block.warps[wi].base_thread;
+        let dims = &self.launch.dims;
+        for (slot, &src) in d.srcs[..d.nsrcs as usize].iter().enumerate() {
+            match src {
+                DSrc::Imm(v) => lanes(active).for_each(|lane| lane_srcs[lane][slot] = v),
+                DSrc::Reg(r) => {
+                    stats.rf.reads += u64::from(active.count_ones());
+                    let row = rf.row(r as usize);
+                    lanes(active).for_each(|lane| lane_srcs[lane][slot] = row[lane]);
+                }
+                DSrc::Special(s) => lanes(active).for_each(|lane| {
+                    let tid = thread_tid(base + lane as u32, dims);
+                    lane_srcs[lane][slot] = special_value(s, tid, block.cta, dims);
+                }),
+            }
+        }
+        active
+    }
+
+    /// Phase 1 on the per-lane path, taken when some operand row has a
+    /// dirty live lane: lane by lane, the guard and then each source
+    /// through [`RegFile::read`], so a detection aborts at the first
+    /// dirty cell in lane-then-operand order (what
+    /// [`SmEngine::undo_aborted`] takes back) and an ECC correction
+    /// scrubs before later reads. Returns the active lanes.
+    fn gather_lanes(
+        &mut self,
+        bi: usize,
+        wi: usize,
+        mask: u32,
+        d: &DecodedInst,
+        lane_srcs: &mut [[u32; penny_ir::MAX_SRCS]; WARP_LANES],
+        stats: &mut RunStats,
+    ) -> Result<u32, StepFault> {
+        let base = self.blocks[bi].warps[wi].base_thread;
+        let nsrcs = d.nsrcs as usize;
+        let mut active = 0u32;
+        for lane in lanes(mask) {
+            if d.guard != NO_REG {
+                let gv = self.read_reg(bi, wi, lane, d.guard, stats)?;
+                if (gv != 0) == d.guard_negated {
+                    continue;
+                }
+            }
+            active |= 1 << lane;
+            let (slots, srcs) = (&mut lane_srcs[lane][..nsrcs], &d.srcs[..nsrcs]);
+            for (slot, &src) in slots.iter_mut().zip(srcs) {
+                *slot = match src {
+                    DSrc::Imm(v) => v,
+                    DSrc::Reg(r) => self.read_reg(bi, wi, lane, r, stats)?,
+                    DSrc::Special(s) => {
+                        let tid = thread_tid(base + lane as u32, &self.launch.dims);
+                        special_value(s, tid, self.blocks[bi].cta, &self.launch.dims)
+                    }
+                };
+            }
+        }
+        Ok(active)
+    }
+
+    /// Writes `values` into the lanes `active` of the destination row
+    /// (none when the micro-op has no destination).
+    fn write_dst(
+        &mut self,
+        bi: usize,
+        wi: usize,
+        dst: u32,
+        active: u32,
+        values: &[u32; WARP_LANES],
+        stats: &mut RunStats,
+    ) {
+        if dst != NO_REG {
+            self.blocks[bi].rfs[wi].write_row(dst as usize, active, values, &mut stats.rf);
         }
     }
 
@@ -1091,12 +1179,13 @@ impl<'a> SmEngine<'a> {
     fn read_reg_reference(
         &mut self,
         bi: usize,
-        thread: usize,
+        wi: usize,
+        lane: usize,
         reg: penny_ir::VReg,
         stats: &mut RunStats,
     ) -> Result<u32, StepFault> {
-        let rf = &mut self.blocks[bi].threads[thread].rf;
-        match rf.read_reference(reg.index(), &mut stats.rf) {
+        let rf = &mut self.blocks[bi].rfs[wi];
+        match rf.read_reference(rf.cell(reg.index(), lane), &mut stats.rf) {
             ReadOutcome::Ok(v) | ReadOutcome::CorrectedInline(v) => Ok(v),
             ReadOutcome::Detected => Err(self.read_fault(reg.0)),
         }
@@ -1105,16 +1194,18 @@ impl<'a> SmEngine<'a> {
     fn read_operand(
         &mut self,
         bi: usize,
-        thread: usize,
+        wi: usize,
+        lane: usize,
         op: Operand,
         stats: &mut RunStats,
     ) -> Result<u32, StepFault> {
         match op {
-            Operand::Reg(r) => self.read_reg_reference(bi, thread, r, stats),
+            Operand::Reg(r) => self.read_reg_reference(bi, wi, lane, r, stats),
             Operand::Imm(v) => Ok(v),
             Operand::Special(s) => {
-                let t = &self.blocks[bi].threads[thread];
-                Ok(special_value(s, t.tid, self.blocks[bi].cta, &self.launch.dims))
+                let thread = self.blocks[bi].warps[wi].base_thread + lane as u32;
+                let tid = thread_tid(thread, &self.launch.dims);
+                Ok(special_value(s, tid, self.blocks[bi].cta, &self.launch.dims))
             }
         }
     }
@@ -1204,13 +1295,9 @@ impl<'a> SmEngine<'a> {
             Terminator::Branch { pred, negated, then_, else_ } => {
                 // Phase 1: read the predicate for every lane (detections
                 // fire before any control-state change).
-                let base = self.blocks[bi].warps[wi].base_thread as usize;
                 let mut taken = 0u32;
-                for lane in 0..32 {
-                    if flow.mask & (1 << lane) == 0 {
-                        continue;
-                    }
-                    let v = self.read_reg_reference(bi, base + lane, pred, stats)?;
+                for lane in lanes(flow.mask) {
+                    let v = self.read_reg_reference(bi, wi, lane, pred, stats)?;
                     stats.instructions += 1;
                     let p = (v != 0) ^ negated;
                     if p {
@@ -1283,35 +1370,41 @@ impl<'a> SmEngine<'a> {
         lane_srcs: &mut [Vec<u32>],
         stats: &mut RunStats,
     ) -> Result<u64, StepFault> {
-        let base = self.blocks[bi].warps[wi].base_thread as usize;
-        let width = self.blocks[bi].warps[wi].width;
         // ---- Phase 1: gather operands (and guards) for all lanes. ----
-        let mut lane_active = [false; 32];
-        for lane in 0..width as usize {
-            if flow.mask & (1 << lane) == 0 {
-                continue;
-            }
-            let thread = base + lane;
-            let active = match inst.guard {
-                Some(g) => {
-                    let gv = self.read_reg_reference(bi, thread, g.pred, stats)?;
-                    (gv != 0) != g.negated
+        let mut active = 0u32;
+        for lane in lanes(flow.mask) {
+            if let Some(g) = inst.guard {
+                let gv = self.read_reg_reference(bi, wi, lane, g.pred, stats)?;
+                if (gv != 0) == g.negated {
+                    continue;
                 }
-                None => true,
-            };
-            if !active {
-                continue;
             }
-            lane_active[lane] = true;
+            active |= 1 << lane;
             lane_srcs[lane].reserve(inst.srcs.len());
             for &s in &inst.srcs {
-                let v = self.read_operand(bi, thread, s, stats)?;
+                let v = self.read_operand(bi, wi, lane, s, stats)?;
                 lane_srcs[lane].push(v);
             }
         }
 
         // ---- Phase 2: effects. ----
-        self.apply_effects(bi, wi, inst, &lane_active, lane_srcs, stats)
+        self.apply_effects(bi, wi, inst, active, lane_srcs, stats)
+    }
+
+    /// Writes one lane's destination cell (none when `dst` is `None`).
+    fn write_lane(
+        &mut self,
+        bi: usize,
+        wi: usize,
+        lane: usize,
+        dst: Option<penny_ir::VReg>,
+        value: u32,
+        stats: &mut RunStats,
+    ) {
+        if let Some(d) = dst {
+            let rf = &mut self.blocks[bi].rfs[wi];
+            rf.write(rf.cell(d.index(), lane), value, &mut stats.rf);
+        }
     }
 
     fn apply_effects(
@@ -1319,13 +1412,11 @@ impl<'a> SmEngine<'a> {
         bi: usize,
         wi: usize,
         inst: &penny_ir::Inst,
-        lane_active: &[bool; 32],
+        active: u32,
         lane_srcs: &[Vec<u32>],
         stats: &mut RunStats,
     ) -> Result<u64, StepFault> {
-        let base = self.blocks[bi].warps[wi].base_thread as usize;
-        let active_count = lane_active.iter().filter(|&&a| a).count() as u64;
-        stats.instructions += active_count;
+        stats.instructions += u64::from(active.count_ones());
         match inst.op {
             Op::Bar => {
                 self.blocks[bi].warps[wi].at_barrier = true;
@@ -1340,20 +1431,10 @@ impl<'a> SmEngine<'a> {
             Op::Ld(space) => {
                 let mut addrs = std::mem::take(&mut self.scratch_addrs);
                 addrs.clear();
-                for lane in 0..32 {
-                    if !lane_active[lane] {
-                        continue;
-                    }
+                for lane in lanes(active) {
                     let addr = lane_srcs[lane][0].wrapping_add(inst.offset as u32);
                     let v = self.load(bi, space, addr, stats);
-                    let thread = base + lane;
-                    if let Some(d) = inst.dst {
-                        self.blocks[bi].threads[thread].rf.write(
-                            d.index(),
-                            v,
-                            &mut stats.rf,
-                        );
-                    }
+                    self.write_lane(bi, wi, lane, inst.dst, v, stats);
                     addrs.push(addr);
                 }
                 let lat = self.mem_latency(space, &addrs, true, stats);
@@ -1363,10 +1444,7 @@ impl<'a> SmEngine<'a> {
             Op::St(space) => {
                 let mut addrs = std::mem::take(&mut self.scratch_addrs);
                 addrs.clear();
-                for lane in 0..32 {
-                    if !lane_active[lane] {
-                        continue;
-                    }
+                for lane in lanes(active) {
                     let addr = lane_srcs[lane][0].wrapping_add(inst.offset as u32);
                     let v = lane_srcs[lane][1];
                     self.store(bi, space, addr, v, stats);
@@ -1379,10 +1457,7 @@ impl<'a> SmEngine<'a> {
             Op::Atom(aop, space) => {
                 let mut addrs = std::mem::take(&mut self.scratch_addrs);
                 addrs.clear();
-                for lane in 0..32 {
-                    if !lane_active[lane] {
-                        continue;
-                    }
+                for lane in lanes(active) {
                     let addr = lane_srcs[lane][0].wrapping_add(inst.offset as u32);
                     let operand = lane_srcs[lane][1];
                     let old = self.load(bi, space, addr, stats);
@@ -1394,14 +1469,7 @@ impl<'a> SmEngine<'a> {
                         penny_ir::AtomOp::Cas => operand, // simple model
                     };
                     self.store(bi, space, addr, new, stats);
-                    let thread = base + lane;
-                    if let Some(d) = inst.dst {
-                        self.blocks[bi].threads[thread].rf.write(
-                            d.index(),
-                            old,
-                            &mut stats.rf,
-                        );
-                    }
+                    self.write_lane(bi, wi, lane, inst.dst, old, stats);
                     addrs.push(addr);
                 }
                 if !addrs.is_empty() {
@@ -1414,19 +1482,9 @@ impl<'a> SmEngine<'a> {
             }
             _ => {
                 // ALU.
-                for lane in 0..32 {
-                    if !lane_active[lane] {
-                        continue;
-                    }
+                for lane in lanes(active) {
                     let v = crate::alu::eval(inst.op, inst.ty, inst.ty2, &lane_srcs[lane]);
-                    let thread = base + lane;
-                    if let Some(d) = inst.dst {
-                        self.blocks[bi].threads[thread].rf.write(
-                            d.index(),
-                            v,
-                            &mut stats.rf,
-                        );
-                    }
+                    self.write_lane(bi, wi, lane, inst.dst, v, stats);
                 }
                 Ok(self.config.latency_of(inst.op) as u64)
             }

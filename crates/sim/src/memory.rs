@@ -7,10 +7,42 @@
 //! checkpoints there — so injected faults only ever target the RF.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Words per page.
 pub(crate) const PAGE_WORDS: usize = 1024;
+
+/// Global-memory pages by page number.
+pub(crate) type PageMap =
+    HashMap<u32, Arc<[u32; PAGE_WORDS]>, BuildHasherDefault<PageHasher>>;
+
+/// Hashes a page number with one multiply by an odd constant
+/// (Fibonacci hashing) instead of SipHash: page numbers are not
+/// adversarial, and every load and store probes the map. The product
+/// is a bijection on the low bits the table indexes with, so
+/// consecutive pages never collide. Page order is never observable:
+/// the serializer sorts page numbers and [`GlobalMemory::nonzero_words`]
+/// sorts its output.
+#[derive(Default)]
+pub(crate) struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 =
+            (self.0.rotate_left(32) ^ u64::from(n)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
 
 /// Sparse global memory (word-addressable via byte addresses).
 ///
@@ -26,7 +58,7 @@ pub(crate) const PAGE_WORDS: usize = 1024;
 /// determinism tests pin.
 #[derive(Debug, Clone, Default)]
 pub struct GlobalMemory {
-    pages: HashMap<u32, Arc<[u32; PAGE_WORDS]>>,
+    pages: PageMap,
     /// Read/write counters (for statistics).
     pub reads: u64,
     /// Write counter.
@@ -110,17 +142,13 @@ impl GlobalMemory {
 
     /// The raw page map (for the recording serializer, which
     /// deduplicates pages by `Arc` identity).
-    pub(crate) fn pages(&self) -> &HashMap<u32, Arc<[u32; PAGE_WORDS]>> {
+    pub(crate) fn pages(&self) -> &PageMap {
         &self.pages
     }
 
     /// Rebuilds a memory from a page map and access counters; the
     /// copy-on-write bookkeeping starts at zero, exactly like a fork.
-    pub(crate) fn from_parts(
-        pages: HashMap<u32, Arc<[u32; PAGE_WORDS]>>,
-        reads: u64,
-        writes: u64,
-    ) -> GlobalMemory {
+    pub(crate) fn from_parts(pages: PageMap, reads: u64, writes: u64) -> GlobalMemory {
         GlobalMemory { pages, reads, writes, pages_copied: 0 }
     }
 

@@ -29,10 +29,13 @@
 //!
 //! Two reconstruction shortcuts keep the format small and honest:
 //!
-//! * register files are persisted as their decoded values only — a
-//!   fault-free recording never has a dirty register, so
-//!   `words[r] == encode(values[r])` and re-encoding at load is
-//!   bit-identical;
+//! * register files are persisted as values only, per thread — a
+//!   fault-free recording never has a dirty cell, and a clean cell's
+//!   codeword is the encoding of its value. The serializer gathers each
+//!   thread's values from its lane of its warp's file and the loader
+//!   scatters them back, so the bytes do not depend on how the engine
+//!   holds registers, and a partial warp's padded lanes are never
+//!   written;
 //! * the decoded program, the block→wave index, each warp's region
 //!   entries and the per-region restored registers are rebuilt from the
 //!   `Protected` artifact, the wave list and the PC streams instead of
@@ -52,10 +55,10 @@ use penny_core::{LaunchDims, Protected};
 use penny_ir::RegionId;
 
 use crate::config::GpuConfig;
-use crate::engine::{BlockCtx, LaunchConfig, RunStats, ThreadCtx, WaveState};
-use crate::memory::{GlobalMemory, SharedMemory, PAGE_WORDS};
+use crate::engine::{thread_tid, BlockCtx, LaunchConfig, RunStats, WaveState};
+use crate::memory::{GlobalMemory, PageMap, SharedMemory, PAGE_WORDS};
 use crate::program::Program;
-use crate::regfile::{RegFile, RfStats};
+use crate::regfile::{RegFile, RfStats, WARP_LANES};
 use crate::snapshot::{
     block_waves, restored_sets, Access, Recording, RecordingCounters, Snap, WarpTrace,
     WaveRec,
@@ -289,7 +292,7 @@ fn get_global(
     let reads = r.u64()?;
     let writes = r.u64()?;
     let n = r.len(8)?;
-    let mut map = HashMap::with_capacity(n);
+    let mut map = PageMap::with_capacity_and_hasher(n, Default::default());
     for _ in 0..n {
         let p = r.u32()?;
         let id = r.u32()? as usize;
@@ -321,23 +324,68 @@ fn get_shared(r: &mut Reader<'_>) -> Result<SharedMemory, LoadError> {
     Ok(SharedMemory::from_parts(words, reads, writes))
 }
 
-fn put_regfile(buf: &mut Vec<u8>, rf: &RegFile) {
-    debug_assert_eq!(rf.dirty_count(), 0, "recordings persist clean register files");
-    let values = rf.values();
-    put_u64(buf, values.len() as u64);
-    for &v in values {
-        put_u32(buf, v);
+/// Writes each of a block's threads — its coordinates and its
+/// registers' values — gathered from its lane of its warp's file. The
+/// padded lanes of a partial last warp belong to no thread and are not
+/// written.
+fn put_threads(buf: &mut Vec<u8>, rfs: &[RegFile], dims: &LaunchDims) {
+    let tpb = dims.threads_per_block();
+    put_u64(buf, tpb as u64);
+    for t in 0..tpb {
+        let (x, y) = thread_tid(t, dims);
+        put_u32(buf, x);
+        put_u32(buf, y);
+        let rf = &rfs[t as usize / WARP_LANES];
+        debug_assert_eq!(rf.dirty_count(), 0, "recordings persist clean register files");
+        let lane = t as usize % WARP_LANES;
+        put_u64(buf, rf.len() as u64);
+        for reg in 0..rf.len() {
+            put_u32(buf, rf.row(reg)[lane]);
+        }
     }
 }
 
-fn get_regfile(
+/// Reads a block's threads and scatters their values into one clean
+/// file per warp. Every thread must carry its own coordinates and
+/// exactly `num_regs` values.
+fn get_threads(
     r: &mut Reader<'_>,
+    dims: &LaunchDims,
+    num_regs: usize,
     config: &GpuConfig,
     codec: &Option<Codec>,
-) -> Result<RegFile, LoadError> {
-    let n = r.len(4)?;
-    let values = r.u32_vec(n)?;
-    Ok(RegFile::from_values_with(values, config.rf, codec.clone()))
+) -> Result<Vec<RegFile>, LoadError> {
+    let tpb = dims.threads_per_block() as usize;
+    let nthreads = r.len(8 + 8)?;
+    if nthreads != tpb {
+        return Err(LoadError::Malformed(format!(
+            "block has {nthreads} threads, dims give {tpb}"
+        )));
+    }
+    let mut rows = vec![vec![0u32; num_regs * WARP_LANES]; tpb.div_ceil(WARP_LANES)];
+    for t in 0..tpb {
+        let tid = (r.u32()?, r.u32()?);
+        if tid != thread_tid(t as u32, dims) {
+            return Err(LoadError::Malformed(format!(
+                "thread {t} has coordinates {tid:?}"
+            )));
+        }
+        let n = r.len(4)?;
+        if n != num_regs {
+            return Err(LoadError::Malformed(format!(
+                "thread {t} has {n} registers, expected {num_regs}"
+            )));
+        }
+        let raw = r.take(4 * n)?;
+        let (values, lane) = (&mut rows[t / WARP_LANES], t % WARP_LANES);
+        for (reg, c) in raw.chunks_exact(4).enumerate() {
+            values[reg * WARP_LANES + lane] = u32::from_le_bytes(c.try_into().unwrap());
+        }
+    }
+    Ok(rows
+        .into_iter()
+        .map(|values| RegFile::warp_from_values(values, config.rf, codec.clone()))
+        .collect())
 }
 
 fn put_stack(buf: &mut Vec<u8>, stack: &[StackEntry]) {
@@ -418,7 +466,7 @@ fn get_warp(r: &mut Reader<'_>) -> Result<Warp, LoadError> {
     })
 }
 
-fn put_state(buf: &mut Vec<u8>, st: &WaveState) {
+fn put_state(buf: &mut Vec<u8>, st: &WaveState, dims: &LaunchDims) {
     put_u64(buf, st.cycle);
     put_u64(buf, st.mem_busy_until);
     put_u64(buf, st.rr_cursor as u64);
@@ -428,12 +476,7 @@ fn put_state(buf: &mut Vec<u8>, st: &WaveState) {
         put_u32(buf, b.cta.0);
         put_u32(buf, b.cta.1);
         put_shared(buf, &b.shared);
-        put_u64(buf, b.threads.len() as u64);
-        for t in &b.threads {
-            put_u32(buf, t.tid.0);
-            put_u32(buf, t.tid.1);
-            put_regfile(buf, &t.rf);
-        }
+        put_threads(buf, &b.rfs, dims);
         put_u64(buf, b.warps.len() as u64);
         for w in &b.warps {
             put_warp(buf, w);
@@ -443,6 +486,8 @@ fn put_state(buf: &mut Vec<u8>, st: &WaveState) {
 
 fn get_state(
     r: &mut Reader<'_>,
+    dims: &LaunchDims,
+    num_regs: usize,
     config: &GpuConfig,
     codec: &Option<Codec>,
 ) -> Result<WaveState, LoadError> {
@@ -455,16 +500,22 @@ fn get_state(
         let index = r.u32()?;
         let cta = (r.u32()?, r.u32()?);
         let shared = get_shared(r)?;
-        let nthreads = r.len(1)?;
-        let mut threads = Vec::with_capacity(nthreads);
-        for _ in 0..nthreads {
-            let tid = (r.u32()?, r.u32()?);
-            let rf = get_regfile(r, config, codec)?;
-            threads.push(ThreadCtx { rf, tid });
-        }
+        let rfs = get_threads(r, dims, num_regs, config, codec)?;
         let nwarps = r.len(1)?;
         let warps = (0..nwarps).map(|_| get_warp(r)).collect::<Result<Vec<Warp>, _>>()?;
-        blocks.push(BlockCtx { index, cta, shared, threads, warps });
+        // Each warp owns the file its lanes were scattered into.
+        let tpb = dims.threads_per_block();
+        let misplaced = warps.len() != rfs.len()
+            || warps.iter().enumerate().any(|(i, w)| {
+                let base = i as u32 * WARP_LANES as u32;
+                (w.id, w.base_thread, w.width) != (i as u32, base, (tpb - base).min(32))
+            });
+        if misplaced {
+            return Err(LoadError::Malformed(
+                "warps disagree with the block's threads".into(),
+            ));
+        }
+        blocks.push(BlockCtx { index, cta, shared, rfs, warps });
     }
     Ok(WaveState { blocks, cycle, mem_busy_until, rr_cursor })
 }
@@ -575,7 +626,7 @@ impl Recording {
             put_global(&mut body, &mut table, &w.global_end);
             put_u64(&mut body, w.snaps.len() as u64);
             for s in &w.snaps {
-                put_state(&mut body, &s.state);
+                put_state(&mut body, &s.state, &self.launch.dims);
                 put_global(&mut body, &mut table, &s.global);
                 put_stats(&mut body, &s.stats);
                 put_u64(&mut body, s.executed.len() as u64);
@@ -704,7 +755,7 @@ impl Recording {
             let nsnaps = r.len(1)?;
             let mut snaps = Vec::with_capacity(nsnaps);
             for _ in 0..nsnaps {
-                let state = get_state(&mut r, config, &codec)?;
+                let state = get_state(&mut r, &dims, num_regs, config, &codec)?;
                 let global = get_global(&mut r, &pages)?;
                 let stats = get_stats(&mut r)?;
                 let nexec = r.len(8)?;
@@ -854,6 +905,105 @@ mod tests {
                 "trace {i} as {key:?}: {err:?}"
             );
         }
+        assert!(Recording::deserialize(&bytes, 1, &config, &protected).is_ok());
+    }
+
+    /// A Penny recording of a 48-thread block (its second warp is 16
+    /// lanes wide) with region-boundary snapshots to persist.
+    fn partial_warp_recording() -> (GpuConfig, Protected, Recording) {
+        let kernel = penny_ir::parse_kernel(
+            ".kernel f .params A\nentry:\n mov.u32 %r0, %tid.x\n ld.param.u32 %r1, [A]\n \
+             mad.u32 %r2, %r0, 4, %r1\n ld.global.u32 %r3, [%r2]\n add.u32 %r4, %r3, 1\n \
+             st.global.u32 [%r2], %r4\n ld.global.u32 %r5, [%r2]\n add.u32 %r6, %r5, %r0\n \
+             st.global.u32 [%r2], %r6\n ret\n",
+        )
+        .expect("parse");
+        let dims = LaunchDims::linear(1, 48);
+        let protected = penny_core::compile(
+            &kernel,
+            &penny_core::PennyConfig::penny().with_launch(dims),
+        )
+        .expect("compile");
+        let config = GpuConfig::fermi();
+        let launch = LaunchConfig::new(dims, vec![0x1000]);
+        let rec = Recording::record(&config, &protected, &launch, &GlobalMemory::new())
+            .expect("record");
+        assert!(rec.counters.snapshots > 0, "the recording must persist block states");
+        (config, protected, rec)
+    }
+
+    #[test]
+    fn padded_lanes_never_reach_the_bytes() {
+        let (_, _, rec) = partial_warp_recording();
+        let bytes = rec.serialize(1);
+        let (_, _, mut poisoned) = partial_warp_recording();
+        let mut stats = RfStats::default();
+        for snap in poisoned.waves.iter_mut().flat_map(|w| &mut w.snaps) {
+            for block in &mut snap.state.blocks {
+                let rf = &mut block.rfs[1];
+                for reg in 0..rf.len() {
+                    rf.write_row(
+                        reg,
+                        u32::MAX << 16,
+                        &[0xDEAD_BEEF; WARP_LANES],
+                        &mut stats,
+                    );
+                }
+            }
+        }
+        assert_eq!(poisoned.serialize(1), bytes, "padded lanes leaked into the bytes");
+    }
+
+    #[test]
+    fn short_ragged_or_misplaced_threads_are_malformed() {
+        let (config, protected, rec) = partial_warp_recording();
+        let bytes = rec.serialize(1);
+        // Thread 1's entry in the first persisted block state:
+        // coordinates, register count, values.
+        let state =
+            &rec.waves.iter().find_map(|w| w.snaps.first()).expect("snapshot").state;
+        let rf = &state.blocks[0].rfs[0];
+        let mut entry = Vec::new();
+        put_u32(&mut entry, 1);
+        put_u32(&mut entry, 0);
+        put_u64(&mut entry, rf.len() as u64);
+        for reg in 0..rf.len() {
+            put_u32(&mut entry, rf.row(reg)[1]);
+        }
+        let at = bytes.windows(entry.len()).position(|w| w == entry).expect("thread 1");
+        let count_at = at - entry.len() - 8; // the block's thread count
+        let regs = rf.len() as u64;
+        for (offset, value) in [
+            (at + 8, regs - 1), // a short register list
+            (at + 8, regs + 1), // a ragged one
+            (at, 2),            // thread 1 claiming thread 2's coordinates
+            (count_at, 47),     // one thread short of the block
+            (count_at, 64),     // the padded lanes claimed as threads
+        ] {
+            let mut bad = bytes.clone();
+            let width = if offset == at { 4 } else { 8 };
+            bad[offset..offset + width].copy_from_slice(&value.to_le_bytes()[..width]);
+            let err = Recording::deserialize(&bad, 1, &config, &protected)
+                .err()
+                .expect("a damaged thread list must be rejected");
+            assert!(
+                matches!(err, LoadError::Malformed(_) | LoadError::Truncated),
+                "{value} at {offset}: {err:?}"
+            );
+        }
+        // The tail warp (id 1, lanes from thread 32, 16 wide) claiming
+        // the padded lanes.
+        let mut tail = Vec::new();
+        for v in [1u32, 32, 16] {
+            put_u32(&mut tail, v);
+        }
+        let at = bytes.windows(tail.len()).position(|w| w == tail).expect("tail warp");
+        let mut bad = bytes.clone();
+        bad[at + 8..at + 12].copy_from_slice(&32u32.to_le_bytes());
+        let err = Recording::deserialize(&bad, 1, &config, &protected)
+            .err()
+            .expect("a widened tail warp must be rejected");
+        assert!(matches!(err, LoadError::Malformed(_)), "{err:?}");
         assert!(Recording::deserialize(&bytes, 1, &config, &protected).is_ok());
     }
 

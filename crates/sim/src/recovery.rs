@@ -10,9 +10,9 @@
 use penny_core::{LaunchDims, Protected, Restore, SetupValue, Slice, SliceInst, SlotRef};
 use penny_ir::{MemSpace, RegionId};
 
-use crate::engine::{special_value, BlockCtx};
+use crate::engine::{special_value, thread_tid, BlockCtx};
 use crate::memory::GlobalMemory;
-use crate::regfile::RfStats;
+use crate::regfile::{RfStats, WARP_LANES};
 use crate::SimError;
 
 /// Byte address of `thread`'s word in a checkpoint slot.
@@ -33,6 +33,11 @@ pub fn slot_addr(
 /// Restores all live-ins of `region` for every lane of warp `wi` in
 /// block `bi`. Returns the number of restore operations performed (for
 /// the timing charge).
+///
+/// Each register is restored as one row over the warp's live lanes.
+/// Restores and setup values read memory and thread coordinates, never
+/// registers, so the order in which rows and lanes are written is not
+/// observable.
 #[allow(clippy::too_many_arguments)]
 pub fn restore_warp(
     protected: &Protected,
@@ -50,35 +55,43 @@ pub fn restore_warp(
         .ok_or_else(|| SimError::BadMetadata(format!("no metadata for {region}")))?;
     let (base_thread, width) = {
         let w = &blocks[bi].warps[wi];
-        (w.base_thread as usize, w.width as usize)
+        (w.base_thread, w.width as usize)
     };
-    let mut ops = 0u32;
-    for lane in 0..width {
-        let thread = base_thread + lane;
-        let (tid, cta) = {
-            let b = &blocks[bi];
-            (b.threads[thread].tid, b.cta)
-        };
-        let tid_flat = tid.0 + tid.1 * dims.block.0;
-        let cta_linear = cta.0 + cta.1 * dims.grid.0;
-        // Live-in restores.
-        for (reg, restore) in &info.restores {
-            let value = match restore {
+    let live = u32::MAX >> (WARP_LANES - width);
+    let cta = blocks[bi].cta;
+    let cta_linear = cta.0 + cta.1 * dims.grid.0;
+    let mut row = [0u32; WARP_LANES];
+    // Live-in restores.
+    for (reg, restore) in &info.restores {
+        for (lane, value) in row.iter_mut().enumerate().take(width) {
+            let tid_flat = base_thread + lane as u32;
+            *value = match restore {
                 Restore::Slot(slot) => {
                     let addr = slot_addr(slot, protected, dims, cta_linear, tid_flat);
                     read_slot(blocks, bi, global, slot.space, addr)
                 }
                 Restore::Slice(slice) => eval_slice(
-                    slice, protected, dims, blocks, bi, global, params, tid, cta, tid_flat,
+                    slice,
+                    protected,
+                    dims,
+                    blocks,
+                    bi,
+                    global,
+                    params,
+                    thread_tid(tid_flat, dims),
+                    cta,
+                    tid_flat,
                     cta_linear,
                 )?,
             };
-            blocks[bi].threads[thread].rf.write(reg.index(), value, rf_stats);
-            ops += 1;
         }
-        // Setup registers (checkpoint addressing).
-        for (reg, sv) in &protected.setup {
-            let value = match sv {
+        blocks[bi].rfs[wi].write_row(reg.index(), live, &row, rf_stats);
+    }
+    // Setup registers (checkpoint addressing).
+    for (reg, sv) in &protected.setup {
+        for (lane, value) in row.iter_mut().enumerate().take(width) {
+            let tid_flat = base_thread + lane as u32;
+            *value = match sv {
                 SetupValue::TidFlat4 => tid_flat * 4,
                 SetupValue::GlobalTid4 => {
                     (cta_linear * dims.threads_per_block() + tid_flat) * 4
@@ -87,11 +100,10 @@ pub fn restore_warp(
                     slot_addr(slot, protected, dims, cta_linear, tid_flat)
                 }
             };
-            blocks[bi].threads[thread].rf.write(reg.index(), value, rf_stats);
-            ops += 1;
         }
+        blocks[bi].rfs[wi].write_row(reg.index(), live, &row, rf_stats);
     }
-    Ok(ops)
+    Ok((width * (info.restores.len() + protected.setup.len())) as u32)
 }
 
 fn read_slot(
@@ -192,19 +204,19 @@ mod tests {
 
     /// One hand-built resident block of 4 threads in a single warp.
     fn block(width: u32) -> BlockCtx {
-        let threads = (0..4)
-            .map(|i| crate::engine::ThreadCtx {
-                rf: RegFile::new(NREGS, RfProtection::None),
-                tid: (i, 0),
-            })
-            .collect();
         BlockCtx {
             index: 0,
             cta: (0, 0),
             shared: SharedMemory::new(SHARED_BASE + 64),
-            threads,
+            rfs: vec![RegFile::warp(NREGS, RfProtection::None)],
             warps: vec![Warp::new(0, 0, width, 0, 0)],
         }
+    }
+
+    /// Thread `t`'s value of register `reg` in `block`.
+    fn peek(block: &BlockCtx, t: usize, reg: usize) -> u32 {
+        let rf = &block.rfs[0];
+        rf.peek(rf.cell(reg, t))
     }
 
     fn shared_slot(index: u32) -> SlotRef {
@@ -396,13 +408,14 @@ mod tests {
         )
         .expect("restore");
         assert_eq!(ops, 4 * 5, "restores + setup per lane");
+        assert_eq!(stats.writes, 4 * 5, "one write per restored cell");
         for t in 0..4usize {
-            let rf = &blocks[0].threads[t].rf;
-            assert_eq!(rf.peek(3), 100 + t as u32, "shared-slot restore");
-            assert_eq!(rf.peek(4), 200 + t as u32, "global-slot restore");
-            assert_eq!(rf.peek(5), 0xAB, "slice restore");
-            assert_eq!(rf.peek(6), t as u32 * 4, "TidFlat4 setup");
-            assert_eq!(rf.peek(7), GLOBAL_CKPT_BASE + t as u32 * 4, "SlotAddr setup");
+            let b = &blocks[0];
+            assert_eq!(peek(b, t, 3), 100 + t as u32, "shared-slot restore");
+            assert_eq!(peek(b, t, 4), 200 + t as u32, "global-slot restore");
+            assert_eq!(peek(b, t, 5), 0xAB, "slice restore");
+            assert_eq!(peek(b, t, 6), t as u32 * 4, "TidFlat4 setup");
+            assert_eq!(peek(b, t, 7), GLOBAL_CKPT_BASE + t as u32 * 4, "SlotAddr setup");
         }
     }
 
@@ -414,7 +427,8 @@ mod tests {
         let mut stats = RfStats::default();
         for t in 0..4u32 {
             blocks[0].shared.write(SHARED_BASE + t * 4, 100 + t);
-            blocks[0].threads[t as usize].rf.write(3, 0xDEAD, &mut stats);
+            let rf = &mut blocks[0].rfs[0];
+            rf.write(rf.cell(3, t as usize), 0xDEAD, &mut stats);
         }
         let ops = restore_warp(
             &p,
@@ -429,10 +443,10 @@ mod tests {
         )
         .expect("restore");
         assert_eq!(ops, 2);
-        assert_eq!(blocks[0].threads[0].rf.peek(3), 100);
-        assert_eq!(blocks[0].threads[1].rf.peek(3), 101);
-        assert_eq!(blocks[0].threads[2].rf.peek(3), 0xDEAD, "dead lane untouched");
-        assert_eq!(blocks[0].threads[3].rf.peek(3), 0xDEAD, "dead lane untouched");
+        assert_eq!(peek(&blocks[0], 0, 3), 100);
+        assert_eq!(peek(&blocks[0], 1, 3), 101);
+        assert_eq!(peek(&blocks[0], 2, 3), 0xDEAD, "dead lane untouched");
+        assert_eq!(peek(&blocks[0], 3, 3), 0xDEAD, "dead lane untouched");
     }
 
     #[test]

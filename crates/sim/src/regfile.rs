@@ -1,5 +1,5 @@
-//! The register-file model: per-thread registers stored as codewords of
-//! the configured protection scheme, checked at every read.
+//! The register-file model: registers checked through the configured
+//! protection scheme at every read.
 //!
 //! This is where the paper's error model becomes executable: a soft
 //! error flips stored bits; with **EDC** the flip is *detected* at the
@@ -7,25 +7,43 @@
 //! *corrected* inline (at the hardware cost Table 2 quantifies); with no
 //! protection it silently corrupts the value.
 //!
-//! # Fault-aware fast path
+//! # Warp files and lazy codewords
 //!
-//! Fault-free runs dominate the figure suite, yet the seed model paid a
-//! full codec decode on *every* read. The file now tracks a per-register
-//! **dirty set** (a small bitset): [`RegFile::flip_bit`] — the only way
-//! stored bits change behind the codec's back — marks its register
-//! dirty, and [`RegFile::write`] (which re-encodes) clears it. Reads of
-//! clean registers return the cached decoded value without touching the
-//! codec; dirty registers take the full decode path, whose outcome
-//! (detection, inline correction + scrub, or a clean decode when flips
-//! cancelled) is exactly the pre-fast-path behavior. A read that decodes
-//! clean or corrected also re-validates the cache and clears the dirty
-//! bit. [`RegFile::read_reference`] keeps the always-decode path alive
-//! for the `decode_reference` cross-check; both paths produce
+//! The engine gives each warp one file of [`WARP_LANES`] lanes (a
+//! partial warp is padded; its lanes at or past the warp's width are
+//! never read, written or persisted). Values are stored register-major,
+//! so one register's lanes form a contiguous **row**, and a cell —
+//! register `r` of lane `l` — has the index `r * lanes + l`
+//! (`RegFile::cell`). [`RegFile::new`] builds a one-lane file, whose
+//! cell indices are its register numbers.
+//!
+//! A clean cell's stored codeword is, by definition, the encoding of its
+//! value, so the file keeps none: [`RegFile::write`] stores the value
+//! and nothing else. Only [`RegFile::flip_bit`] — the one way stored bits
+//! change behind the codec's back — materialises a codeword: it encodes
+//! the cell's value, flips the bit, keeps the word in a short list keyed
+//! by cell and marks the cell **dirty** in its register's lane mask.
+//! Reads of clean cells return the value without touching the codec;
+//! dirty cells take the full decode path, whose outcome (detection,
+//! inline correction + scrub, or a clean decode when flips cancelled)
+//! is the model's error semantics. A write, a clean or corrected decode
+//! and the ECC scrub drop the cell's word and its dirty bit. So "does
+//! this row hold a corrupted lane?" is one AND (`RegFile::dirty_lanes`),
+//! and the engine reads and writes whole rows when it is not.
+//! [`RegFile::read_reference`] keeps the always-decode path alive for the
+//! `decode_reference` cross-check: it encodes a clean cell's value and
+//! decodes it, so the codec runs on every read; both paths produce
 //! bit-identical values and [`RfStats`] counters.
 
 use penny_coding::{Codec, Decode, Scheme};
 
 use crate::config::RfProtection;
+
+/// Lanes of a warp's register file.
+pub const WARP_LANES: usize = 32;
+
+/// `log2(WARP_LANES)`: a warp file's lane shift.
+const WARP_SHIFT: u32 = WARP_LANES.trailing_zeros();
 
 /// Outcome of a protected register read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,19 +56,22 @@ pub enum ReadOutcome {
     Detected,
 }
 
-/// One thread's register file.
+/// A register file of one or [`WARP_LANES`] lanes.
 #[derive(Debug, Clone)]
 pub struct RegFile {
-    words: Vec<u64>,
-    /// Cached decoded value per register, valid while the register's
-    /// dirty bit is clear.
+    /// Cell values, register-major: register `r`'s row is
+    /// `values[r * lanes..(r + 1) * lanes]`. A dirty cell's value is the
+    /// one it held before the flip.
     values: Vec<u32>,
-    /// One bit per register: set when the stored codeword may disagree
-    /// with the cached value (i.e. after fault injection).
-    dirty: Vec<u64>,
-    /// Number of set dirty bits (lets fault-free reads skip the bitset
-    /// probe entirely).
-    dirty_count: u32,
+    /// One lane mask per register: the lanes whose cell is dirty (a
+    /// fault flipped a stored bit and nothing has repaired it since).
+    dirty: Vec<u32>,
+    /// The stored codeword of every dirty cell, keyed by cell index; a
+    /// cell is dirty exactly when it has an entry. Faults are rare, so
+    /// the list is short.
+    words: Vec<(usize, u64)>,
+    /// `log2` of the lane count (0 or 5).
+    lane_shift: u32,
     protection: RfProtection,
     codec: Option<Codec>,
 }
@@ -68,7 +89,7 @@ pub struct RfStats {
     pub corrected: u64,
     /// Reads that took the full codec-decode path (observability only).
     ///
-    /// The fast path serves clean registers from the cache; the
+    /// The fast path serves clean cells without the codec; the
     /// reference interpreter decodes every read, so this counter
     /// legitimately diverges between the two execution paths and is
     /// deliberately excluded from `PartialEq`.
@@ -76,8 +97,7 @@ pub struct RfStats {
 }
 
 impl RfStats {
-    /// Reads served from the clean-register cache without a codec
-    /// decode.
+    /// Reads served from a clean cell without a codec decode.
     pub fn clean_reads(&self) -> u64 {
         self.reads.saturating_sub(self.decoded_reads)
     }
@@ -86,7 +106,7 @@ impl RfStats {
 // Manual equality: the architectural counters must match bit-for-bit
 // across execution paths, while `decoded_reads` is a property of the
 // path itself (reference decodes always; the fast path only on dirty
-// registers) and is excluded.
+// cells) and is excluded.
 impl PartialEq for RfStats {
     fn eq(&self, other: &RfStats) -> bool {
         self.reads == other.reads
@@ -99,15 +119,28 @@ impl PartialEq for RfStats {
 impl Eq for RfStats {}
 
 impl RegFile {
-    /// Creates a zero-initialized register file with `n` registers.
+    /// Creates a zero-initialized one-lane file with `n` registers.
     pub fn new(n: usize, protection: RfProtection) -> RegFile {
-        let codec = protection.scheme().codec();
-        let zero = codec.as_ref().map(|c| c.encode(0)).unwrap_or(0);
+        RegFile::with_lanes(n, 0, protection, protection.scheme().codec())
+    }
+
+    /// Creates a zero-initialized warp file: `n` registers of
+    /// [`WARP_LANES`] lanes each.
+    pub(crate) fn warp(n: usize, protection: RfProtection) -> RegFile {
+        RegFile::with_lanes(n, WARP_SHIFT, protection, protection.scheme().codec())
+    }
+
+    fn with_lanes(
+        n: usize,
+        lane_shift: u32,
+        protection: RfProtection,
+        codec: Option<Codec>,
+    ) -> RegFile {
         RegFile {
-            words: vec![zero; n],
-            values: vec![0; n],
-            dirty: vec![0; n.div_ceil(64)],
-            dirty_count: 0,
+            values: vec![0; n << lane_shift],
+            dirty: vec![0; n],
+            words: Vec::new(),
+            lane_shift,
             protection,
             codec,
         }
@@ -115,147 +148,205 @@ impl RegFile {
 
     /// Number of registers.
     pub fn len(&self) -> usize {
-        self.words.len()
+        self.dirty.len()
     }
 
     /// Returns `true` if the file has no registers.
     pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
+        self.dirty.is_empty()
     }
 
-    /// Returns `true` if `reg`'s stored bits may disagree with the
-    /// cached decoded value (set by fault injection, cleared by writes
-    /// and clean/corrected reads).
-    pub fn is_dirty(&self, reg: usize) -> bool {
-        self.dirty[reg / 64] & (1 << (reg % 64)) != 0
+    /// The index of register `reg`'s cell in lane `lane`.
+    #[inline]
+    pub(crate) fn cell(&self, reg: usize, lane: usize) -> usize {
+        (reg << self.lane_shift) | lane
     }
 
-    /// Number of registers currently marked dirty.
+    /// The register of `cell` and its lane's bit in the register's
+    /// dirty mask.
+    fn locate(&self, cell: usize) -> (usize, u32) {
+        (cell >> self.lane_shift, 1 << (cell & ((1 << self.lane_shift) - 1)))
+    }
+
+    /// Returns `true` if `cell`'s stored bits may disagree with its
+    /// value (set by fault injection, cleared by writes and clean or
+    /// corrected reads).
+    pub fn is_dirty(&self, cell: usize) -> bool {
+        let (reg, bit) = self.locate(cell);
+        self.dirty[reg] & bit != 0
+    }
+
+    /// The lanes of register `reg` whose cell is dirty.
+    #[inline]
+    pub(crate) fn dirty_lanes(&self, reg: usize) -> u32 {
+        self.dirty[reg]
+    }
+
+    /// Number of dirty cells.
+    #[inline]
     pub fn dirty_count(&self) -> u32 {
-        self.dirty_count
+        self.words.len() as u32
     }
 
-    fn mark_dirty(&mut self, reg: usize) {
-        let (w, m) = (reg / 64, 1u64 << (reg % 64));
-        if self.dirty[w] & m == 0 {
-            self.dirty[w] |= m;
-            self.dirty_count += 1;
+    /// Register `reg`'s values, one per lane. A dirty cell shows the
+    /// value it held before the flip, so callers read rows only when
+    /// [`RegFile::dirty_lanes`] has no bit in the lanes they read.
+    #[inline]
+    pub(crate) fn row(&self, reg: usize) -> &[u32] {
+        &self.values[reg << self.lane_shift..(reg + 1) << self.lane_shift]
+    }
+
+    /// Drops `cell`'s stored word and dirty bit: its value is valid again.
+    fn clear_dirty(&mut self, cell: usize) {
+        if let Some(i) = self.words.iter().position(|&(c, _)| c == cell) {
+            self.words.swap_remove(i);
+            let (reg, bit) = self.locate(cell);
+            self.dirty[reg] &= !bit;
         }
     }
 
-    fn clear_dirty(&mut self, reg: usize) {
-        let (w, m) = (reg / 64, 1u64 << (reg % 64));
-        if self.dirty[w] & m != 0 {
-            self.dirty[w] &= !m;
-            self.dirty_count -= 1;
-        }
-    }
-
-    /// Writes a register (re-encoding clears any prior corruption).
-    pub fn write(&mut self, reg: usize, value: u32, stats: &mut RfStats) {
+    /// Writes a cell (a write repairs any prior corruption).
+    pub fn write(&mut self, cell: usize, value: u32, stats: &mut RfStats) {
         stats.writes += 1;
-        self.words[reg] = match &self.codec {
-            Some(c) => c.encode(value),
-            None => value as u64,
-        };
-        self.values[reg] = value;
-        if self.dirty_count > 0 {
-            self.clear_dirty(reg);
+        self.values[cell] = value;
+        if !self.words.is_empty() {
+            self.clear_dirty(cell);
         }
     }
 
-    /// Reads a register through the protection scheme.
+    /// Writes register `reg` in the lanes of `lanes`, lane `l` taking
+    /// `values[l]`, and counts one write per lane.
+    pub(crate) fn write_row(
+        &mut self,
+        reg: usize,
+        lanes: u32,
+        values: &[u32],
+        stats: &mut RfStats,
+    ) {
+        stats.writes += u64::from(lanes.count_ones());
+        let shift = self.lane_shift;
+        let row = &mut self.values[reg << shift..(reg + 1) << shift];
+        for (lane, (cell, &v)) in row.iter_mut().zip(values).enumerate() {
+            if lanes & (1 << lane) != 0 {
+                *cell = v;
+            }
+        }
+        let mut repaired = self.dirty[reg] & lanes;
+        while repaired != 0 {
+            let lane = repaired.trailing_zeros() as usize;
+            repaired &= repaired - 1;
+            self.clear_dirty(self.cell(reg, lane));
+        }
+    }
+
+    /// Reads a cell through the protection scheme.
     ///
-    /// Fast path: a register whose dirty bit is clear cannot decode to
-    /// anything but `Clean` (the stored word is exactly the encoding of
-    /// the cached value), so the codec is skipped and the cached value
-    /// returned. Dirty registers take the full decode path.
-    pub fn read(&mut self, reg: usize, stats: &mut RfStats) -> ReadOutcome {
+    /// Fast path: a clean cell's stored word is the encoding of its
+    /// value, so it cannot decode to anything but `Clean`; the codec is
+    /// skipped and the value returned. Dirty cells take the full decode
+    /// path.
+    pub fn read(&mut self, cell: usize, stats: &mut RfStats) -> ReadOutcome {
         stats.reads += 1;
-        if self.dirty_count == 0 || !self.is_dirty(reg) {
-            return ReadOutcome::Ok(self.values[reg]);
+        if self.words.is_empty() || !self.is_dirty(cell) {
+            return ReadOutcome::Ok(self.values[cell]);
         }
-        self.decode_read(reg, stats)
+        self.decode_read(cell, stats)
     }
 
-    /// Reads a register with an unconditional codec decode — the
-    /// pre-fast-path behavior, kept as the `decode_reference`
+    /// Reads a cell with an unconditional codec decode (a clean cell's
+    /// value is encoded first) — kept as the `decode_reference`
     /// cross-check (analogous to the engine's `run_reference`). Produces
     /// bit-identical outcomes and counters to [`RegFile::read`].
-    pub fn read_reference(&mut self, reg: usize, stats: &mut RfStats) -> ReadOutcome {
+    pub fn read_reference(&mut self, cell: usize, stats: &mut RfStats) -> ReadOutcome {
         stats.reads += 1;
-        self.decode_read(reg, stats)
+        self.decode_read(cell, stats)
     }
 
-    /// Full decode of a stored word, re-validating the cache when the
-    /// decode lands clean (or is corrected and scrubbed).
-    fn decode_read(&mut self, reg: usize, stats: &mut RfStats) -> ReadOutcome {
+    /// The word stored in `cell`: its kept codeword when dirty, the
+    /// encoding of its value otherwise.
+    fn stored_word(&self, cell: usize) -> u64 {
+        match self.words.iter().find(|&&(c, _)| c == cell) {
+            Some(&(_, word)) => word,
+            None => self.encode(self.values[cell]),
+        }
+    }
+
+    fn encode(&self, value: u32) -> u64 {
+        self.codec.as_ref().map_or(value as u64, |c| c.encode(value))
+    }
+
+    /// Full decode of a stored word. A clean decode or an ECC correction
+    /// (scrub) leaves a valid encoding of the decoded value, so the cell
+    /// is clean again and its word is dropped; a detection leaves it
+    /// dirty.
+    fn decode_read(&mut self, cell: usize, stats: &mut RfStats) -> ReadOutcome {
         stats.decoded_reads += 1;
-        let word = self.words[reg];
+        let word = self.stored_word(cell);
         let Some(codec) = &self.codec else {
             // Unprotected: the raw word is the value (possibly silently
-            // corrupted); re-validate the cache.
+            // corrupted).
             let v = word as u32;
-            self.values[reg] = v;
-            self.clear_dirty(reg);
+            self.values[cell] = v;
+            self.clear_dirty(cell);
             return ReadOutcome::Ok(v);
         };
         match (codec.decode(word), self.protection) {
             (Decode::Clean(v), _) => {
-                // Either the register was never faulted or an even number
-                // of flips cancelled; the stored word is a valid encoding
+                // Either the cell was never faulted or an even number of
+                // flips cancelled; the stored word is a valid encoding
                 // again.
-                self.values[reg] = v;
-                self.clear_dirty(reg);
+                self.values[cell] = v;
+                self.clear_dirty(cell);
                 ReadOutcome::Ok(v)
             }
             (Decode::Corrected { data, .. }, RfProtection::Ecc(_)) => {
                 stats.corrected += 1;
-                // Scrub: write the repaired word back.
-                self.words[reg] = codec.encode(data);
-                self.values[reg] = data;
-                self.clear_dirty(reg);
+                // Scrub: the repaired word is the encoding of `data`.
+                self.values[cell] = data;
+                self.clear_dirty(cell);
                 ReadOutcome::CorrectedInline(data)
             }
             // In EDC mode the correction capability is *not* wired up:
             // any non-clean word is a detection (paper §2: the code is
-            // used solely for detection).
-            (Decode::Corrected { .. }, _) | (Decode::Detected, _) => {
-                match self.protection {
-                    RfProtection::Edc(_) => {
-                        stats.detected += 1;
-                        ReadOutcome::Detected
-                    }
-                    RfProtection::Ecc(_) => {
-                        stats.detected += 1;
-                        ReadOutcome::Detected
-                    }
-                    // Unprotected RFs cannot detect anything; decode
-                    // is identity there, so this arm is unreachable.
-                    RfProtection::None => unreachable!("no codec without protection"),
-                }
+            // used solely for detection). Unprotected RFs have no codec,
+            // so they never get here.
+            (Decode::Corrected { .. } | Decode::Detected, _) => {
+                stats.detected += 1;
+                ReadOutcome::Detected
             }
         }
     }
 
-    /// Raw read bypassing checks (host/debug use).
-    pub fn peek(&self, reg: usize) -> u32 {
+    /// Raw read bypassing checks (host/debug use): the decoded value of
+    /// a dirty cell, the value of a clean one.
+    pub fn peek(&self, cell: usize) -> u32 {
+        if !self.is_dirty(cell) {
+            return self.values[cell];
+        }
+        let word = self.stored_word(cell);
         match &self.codec {
-            Some(c) => match c.decode(self.words[reg]) {
+            Some(c) => match c.decode(word) {
                 Decode::Clean(v) | Decode::Corrected { data: v, .. } => v,
-                Decode::Detected => self.words[reg] as u32,
+                Decode::Detected => word as u32,
             },
-            None => self.words[reg] as u32,
+            None => word as u32,
         }
     }
 
-    /// Flips one stored bit (fault injection) and marks the register
-    /// dirty, forcing its next read through the codec. Bits at or above
-    /// the codeword length wrap around into it.
-    pub fn flip_bit(&mut self, reg: usize, bit: u32) {
-        let n = self.codec.as_ref().map(|c| c.n() as u32).unwrap_or(32);
-        self.words[reg] ^= 1u64 << (bit % n);
-        self.mark_dirty(reg);
+    /// Flips one stored bit of a cell (fault injection) and marks the
+    /// cell dirty, forcing its next read through the codec. Bits at or
+    /// above the codeword length wrap around into it.
+    pub fn flip_bit(&mut self, cell: usize, bit: u32) {
+        let flip = 1u64 << (bit % self.codeword_bits());
+        match self.words.iter_mut().find(|(c, _)| *c == cell) {
+            Some((_, word)) => *word ^= flip,
+            None => {
+                let word = self.encode(self.values[cell]) ^ flip;
+                self.words.push((cell, word));
+                let (reg, bit) = self.locate(cell);
+                self.dirty[reg] |= bit;
+            }
+        }
     }
 
     /// The codeword length of the protection scheme (32 when
@@ -269,31 +360,23 @@ impl RegFile {
         self.protection.scheme()
     }
 
-    /// The cached decoded values (for the recording serializer, which
-    /// only persists *clean* register files — fault-free recordings
-    /// guarantee `words[r] == encode(values[r])` for every register, so
-    /// the decoded values alone reconstruct the file bit-identically).
-    pub(crate) fn values(&self) -> &[u32] {
-        &self.values
-    }
-
-    /// Rebuilds a clean register file from decoded values by
-    /// re-encoding each one with a caller-supplied codec — the inverse
-    /// of [`RegFile::values`] for files with no dirty registers. The
-    /// recording deserializer rebuilds one file per thread per
-    /// snapshot, so it clones a prebuilt codec instead of paying
-    /// scheme-table construction per file.
-    pub(crate) fn from_values_with(
+    /// Rebuilds a clean warp file from its register-major values with a
+    /// caller-supplied codec — the recording deserializer rebuilds one
+    /// file per warp per snapshot, so it clones a prebuilt codec instead
+    /// of paying scheme-table construction per file.
+    pub(crate) fn warp_from_values(
         values: Vec<u32>,
         protection: RfProtection,
         codec: Option<Codec>,
     ) -> RegFile {
-        let words = values
-            .iter()
-            .map(|&v| codec.as_ref().map(|c| c.encode(v)).unwrap_or(v as u64))
-            .collect();
-        let dirty = vec![0; values.len().div_ceil(64)];
-        RegFile { words, values, dirty, dirty_count: 0, protection, codec }
+        RegFile {
+            dirty: vec![0; values.len() >> WARP_SHIFT],
+            values,
+            words: Vec::new(),
+            lane_shift: WARP_SHIFT,
+            protection,
+            codec,
+        }
     }
 }
 
@@ -387,7 +470,7 @@ mod tests {
         // until something rewrites it).
         assert_eq!(rf.read(2, &mut st), ReadOutcome::Detected);
         assert!(rf.is_dirty(2));
-        // A write re-encodes and clears the dirty bit.
+        // A write repairs the cell and clears the dirty bit.
         rf.write(2, 11, &mut st);
         assert!(!rf.is_dirty(2) && rf.dirty_count() == 0);
         assert_eq!(rf.read(2, &mut st), ReadOutcome::Ok(11));
@@ -474,5 +557,76 @@ mod tests {
         // Subsequent fast-path read uses the cache.
         assert_eq!(rf.read(0, &mut st), ReadOutcome::Ok(5));
         assert_eq!(st.corrected, 1);
+    }
+
+    #[test]
+    fn a_flipped_cell_is_detected_only_in_its_own_lane() {
+        let mut rf = RegFile::warp(4, RfProtection::Edc(Scheme::Parity));
+        let mut st = RfStats::default();
+        let values: Vec<u32> = (0..WARP_LANES as u32).map(|l| l * 3 + 1).collect();
+        for reg in 0..4 {
+            rf.write_row(reg, u32::MAX, &values, &mut st);
+        }
+        let victim = rf.cell(2, 9);
+        rf.flip_bit(victim, 4);
+        assert_eq!(rf.dirty_lanes(2), 1 << 9);
+        assert_eq!(rf.dirty_count(), 1);
+        for reg in 0..4 {
+            for (lane, &value) in values.iter().enumerate() {
+                let cell = rf.cell(reg, lane);
+                let expect = if cell == victim {
+                    ReadOutcome::Detected
+                } else {
+                    ReadOutcome::Ok(value)
+                };
+                assert_eq!(rf.read(cell, &mut st), expect, "reg {reg} lane {lane}");
+            }
+        }
+        assert_eq!(st.detected, 1);
+        assert_eq!(st.decoded_reads, 1, "only the victim cell decodes");
+        for reg in [0, 1, 3] {
+            assert_eq!(rf.dirty_lanes(reg), 0, "other registers stay clean");
+        }
+    }
+
+    #[test]
+    fn a_row_write_clears_only_the_lanes_it_writes() {
+        let mut rf = RegFile::warp(2, RfProtection::Edc(Scheme::Parity));
+        let mut st = RfStats::default();
+        for lane in [0, 5, 31] {
+            rf.flip_bit(rf.cell(1, lane), 0);
+        }
+        let values = [7u32; WARP_LANES];
+        rf.write_row(1, (1 << 5) | (1 << 6), &values, &mut st);
+        assert_eq!(st.writes, 2, "one write per written lane");
+        assert_eq!(rf.dirty_lanes(1), (1 << 0) | (1 << 31));
+        assert_eq!(rf.dirty_count(), 2);
+        assert_eq!(rf.row(1)[5], 7);
+        assert_eq!(rf.row(1)[6], 7);
+        assert_eq!(rf.row(1)[7], 0, "unwritten lanes keep their values");
+        assert_eq!(rf.read(rf.cell(1, 5), &mut st), ReadOutcome::Ok(7));
+        assert_eq!(rf.read(rf.cell(1, 0), &mut st), ReadOutcome::Detected);
+        // A single-cell write repairs just that cell.
+        rf.write(rf.cell(1, 31), 9, &mut st);
+        assert_eq!(rf.dirty_lanes(1), 1);
+    }
+
+    #[test]
+    fn peek_returns_the_decoded_value_of_a_corrupted_cell() {
+        let mut st = RfStats::default();
+        let mut ecc = RegFile::warp(2, RfProtection::Ecc(Scheme::Secded));
+        let cell = ecc.cell(1, 17);
+        ecc.write(cell, 0xDEAD_BEEF, &mut st);
+        ecc.flip_bit(cell, 6);
+        assert!(ecc.is_dirty(cell));
+        assert_eq!(ecc.peek(cell), 0xDEAD_BEEF, "SECDED decodes the single flip");
+        assert!(ecc.is_dirty(cell), "peek neither counts nor scrubs");
+
+        let mut none = RegFile::warp(2, RfProtection::None);
+        let cell = none.cell(0, 31);
+        none.write(cell, 0xF0, &mut st);
+        none.flip_bit(cell, 1);
+        assert_eq!(none.peek(cell), 0xF2, "an unprotected cell decodes to its raw bits");
+        assert_eq!(none.peek(none.cell(0, 30)), 0, "a clean neighbour reads its value");
     }
 }

@@ -23,9 +23,9 @@
 //!   beyond the warp width): the site run *is* the recording.
 //! * **Invisible** (first access of the victim register at or after
 //!   the trigger is a write, or there is none): the flip is
-//!   overwritten before any read observes it — `RegFile::write`
-//!   re-encodes obliviously — so the site run is again bit-identical
-//!   to the recording.
+//!   overwritten before any read observes it — a register write drops
+//!   the cell's corrupted codeword without looking at it — so the site
+//!   run is again bit-identical to the recording.
 //! * **Corrected-inline** (first access is a read of a single flip
 //!   under SECDED ECC): the decode corrects and scrubs the word back to
 //!   its exact fault-free encoding with no timing penalty; the outcome
@@ -46,8 +46,8 @@
 //! from-scratch [`crate::Gpu::run`] of the same plan: verdict,
 //! [`RunStats`], memory contents, and errors. The classification
 //! shortcuts rest on three engine invariants pinned by tests: a
-//! register write re-encodes and clears the dirty bit without looking
-//! at the old word; a single-bit EDC fault always reads as `Detected`
+//! register write drops the cell's stored word and clears its dirty bit
+//! without looking at the old word; a single-bit EDC fault always reads as `Detected`
 //! (the corrupted value is never architecturally observed, so the
 //! outcome is independent of which bit flipped — the memo key relies
 //! on this); and a single-bit SECDED read always corrects inline and

@@ -5,6 +5,7 @@
 
 use penny_coding::Scheme;
 use penny_core::{compile, LaunchDims, PennyConfig, Protection};
+use penny_sim::gen::{build_kernel, try_compile, KernelSpec};
 use penny_sim::persist::LoadError;
 use penny_sim::{
     GlobalMemory, GpuConfig, Injection, LaunchConfig, Recording, RfProtection,
@@ -252,4 +253,73 @@ fn serialized_bytes_are_pinned() {
             "{protection:?}: a reloaded recording writes different bytes"
         );
     }
+}
+
+/// A partial warp's padded lanes belong to no thread. A recording of a
+/// generated kernel launched with 48 threads per block (each block's
+/// second warp is 16 lanes wide in a 32-lane file) reloads to a
+/// byte-identical fixed point that answers tail-lane sites like the
+/// fresh one, and its block states carry threads 0..48 only: thread
+/// `t`'s entry opens with its coordinates `(t, 0)` and its register
+/// count, and no such entry exists for `t` in 48..64.
+#[test]
+fn partial_warp_recordings_round_trip_without_padded_lanes() {
+    let dims = LaunchDims::linear(2, 48);
+    let kernel = build_kernel(&[0, 5, 6, 3], true);
+    let protected =
+        try_compile(&kernel, PennyConfig::penny().with_launch(dims)).expect("compile");
+    let image = KernelSpec::dense(vec![0], false).image();
+    let mut seeded = GlobalMemory::new();
+    image.apply(&mut seeded);
+    let config = GpuConfig::fermi();
+    let launch = LaunchConfig::new(dims, image.params.clone());
+    let fresh = Recording::record(&config, &protected, &launch, &seeded).expect("record");
+    let bytes = fresh.serialize(FINGERPRINT);
+    let reloaded =
+        Recording::deserialize(&bytes, FINGERPRINT, &config, &protected).expect("reload");
+    assert_eq!(reloaded.serialize(FINGERPRINT), bytes, "a reload must be a fixed point");
+
+    let regs = protected.kernel.vreg_limit();
+    let header = |t: u32| {
+        let mut pat = Vec::new();
+        pat.extend_from_slice(&t.to_le_bytes());
+        pat.extend_from_slice(&0u32.to_le_bytes());
+        pat.extend_from_slice(&u64::from(regs).to_le_bytes());
+        pat
+    };
+    let has = |pat: &[u8]| bytes.windows(pat.len()).any(|w| w == pat);
+    assert!(has(&header(47)), "the tail warp's last live lane is persisted");
+    for t in 48..64 {
+        assert!(!has(&header(t)), "padded lane {} of the tail warp is persisted", t - 32);
+    }
+
+    let mut simulated = 0;
+    for block in 0..2 {
+        for (reg, after) in (0..regs).map(|r| (r, 1 + u64::from(r) * 3 % 40)) {
+            let inj = Injection {
+                block,
+                warp: 1,
+                lane: 15,
+                reg,
+                bit: 0,
+                after_warp_insts: after,
+            };
+            let (a, b) = (
+                reloaded.run_site(&config, &protected, inj),
+                fresh.run_site(&config, &protected, inj),
+            );
+            match (a, b) {
+                (Ok(ra), Ok(rb)) => {
+                    assert_eq!(ra.stats, rb.stats, "stats diverge at {inj:?}");
+                    assert_eq!(ra.global, rb.global, "memory diverges at {inj:?}");
+                    assert_eq!(ra.class, rb.class, "class diverges at {inj:?}");
+                    simulated +=
+                        matches!(ra.class, penny_sim::SiteClass::Simulated) as usize;
+                }
+                (Err(ea), Err(eb)) => assert_eq!(ea, eb, "errors diverge at {inj:?}"),
+                _ => panic!("outcome shape diverges at {inj:?}"),
+            }
+        }
+    }
+    assert!(simulated > 0, "tail-lane sites must exercise honest replays");
 }

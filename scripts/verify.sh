@@ -10,10 +10,13 @@
 #   4. the root-package test suite (the tier-1 gate);
 #   5. the determinism/equivalence suites that pin every engine fast
 #      path — event-driven vs dense scheduling, --jobs fan-out, and the
-#      pre-decoded micro-op + register-file fast path vs the
-#      always-decode reference interpreter — bit-identical; plus the
-#      compile-cache service suite (racing misses compile once, batch /
-#      serial / hit / fresh artifacts fingerprint-identical);
+#      pre-decoded micro-op + warp register-file row path vs the
+#      always-decode reference interpreter — bit-identical; the whole
+#      penny-sim suite runs here (register-file units, engine behavior,
+#      recovery, the pinned `PREC` recording bytes and their round
+#      trips, partial warps); plus the compile-cache service suite
+#      (racing misses compile once, batch / serial / hit / fresh
+#      artifacts fingerprint-identical);
 #   6. the fault-space conformance harness (small default budget):
 #      every covered (instruction × register × bit) site must recover
 #      to the fault-free final memory under each protected scheme,
@@ -96,7 +99,7 @@ cargo test -q
 
 echo "==> determinism: harness + engine fast paths"
 cargo test --release -p penny-bench --test determinism
-cargo test --release -p penny-sim --test decoded_equivalence
+cargo test --release -p penny-sim
 
 echo "==> determinism: compile-cache service (fingerprint identity)"
 cargo test --release -p penny-bench --test cache_service
