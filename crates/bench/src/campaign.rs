@@ -66,9 +66,10 @@ fn book(result: &mut CampaignResult, outcome: Result<(&RunStats, bool), &SimErro
 /// (bit-exact integer output) under the given EDC scheme.
 pub fn edc_campaign(scheme: Scheme, flips: u32, runs: u32, seed: u64) -> CampaignResult {
     let w = penny_workloads::by_abbr("MT").expect("MT workload");
-    let protected = crate::cache::compiled(&w, &PennyConfig::penny().with_launch(w.dims));
-    let regs = protected.kernel.vreg_limit();
     let gpu_config = GpuConfig::fermi().with_rf(RfProtection::Edc(scheme));
+    let config = PennyConfig::penny().with_launch(w.dims).with_machine(gpu_config.machine);
+    let protected = crate::cache::compiled(&w, &config);
+    let regs = protected.kernel.vreg_limit();
     let mut seeded = GlobalMemory::new();
     let launch = w.prepare(&mut seeded);
     let recording = Recording::record(&gpu_config, &protected, &launch, &seeded)
@@ -221,9 +222,10 @@ pub fn render_multibit(results: &[CampaignResult]) -> String {
 /// MT workload under parity-EDC Penny.
 pub fn error_rate_sensitivity() -> Vec<(u32, f64)> {
     let w = penny_workloads::by_abbr("MT").expect("MT");
-    let protected = crate::cache::compiled(&w, &PennyConfig::penny().with_launch(w.dims));
-    let regs = protected.kernel.vreg_limit();
     let gpu_config = GpuConfig::fermi();
+    let config = PennyConfig::penny().with_launch(w.dims).with_machine(gpu_config.machine);
+    let protected = crate::cache::compiled(&w, &config);
+    let regs = protected.kernel.vreg_limit();
 
     let baseline = {
         let mut gpu = Gpu::new(gpu_config.clone());

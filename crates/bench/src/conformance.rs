@@ -16,8 +16,8 @@
 //! # Snapshot/replay site pipeline
 //!
 //! One fault-free [`Recording`] per (workload, scheme) pair captures
-//! region-boundary snapshots and a per-thread register access trace
-//! (`penny_sim::snapshot`). Each site is then answered from the
+//! region-boundary snapshots and each warp's instruction stream, over
+//! which it indexes every register access (`penny_sim::snapshot`). Each site is then answered from the
 //! cheapest sufficient evidence — recorded outcome for never-firing and
 //! overwritten (invisible) flips, recorded outcome plus correction
 //! counters under SECDED, a forked replay of just the victim's wave

@@ -188,16 +188,21 @@ pub struct PruneBreakdown {
 }
 
 /// Figure 12: checkpoints removed by basic vs optimal pruning.
+///
+/// The counts are compile statistics, so the figure reads them off the
+/// cached artifact that fig9's Penny series also runs (the config
+/// [`run_scheme`] compiles) instead of simulating it again.
 pub fn fig12() -> Vec<PruneBreakdown> {
-    let gpu = GpuConfig::fermi();
+    let machine = GpuConfig::fermi().machine;
     parallel_map(&all(), |w| {
-        let m = run_scheme(w, SchemeId::Penny, &gpu);
-        let total = m.compile.total_checkpoints.max(1) as f64;
-        let basic = m.compile.pruned_basic as f64 / total;
-        let additional = m.compile.pruned_additional as f64 / total;
+        let config = SchemeId::Penny.config().with_launch(w.dims).with_machine(machine);
+        let stats = crate::cache::compiled(w, &config).stats;
+        let total = stats.total_checkpoints.max(1) as f64;
+        let basic = stats.pruned_basic as f64 / total;
+        let additional = stats.pruned_additional as f64 / total;
         PruneBreakdown {
             abbr: w.abbr.to_string(),
-            total: m.compile.total_checkpoints,
+            total: stats.total_checkpoints,
             basic,
             additional,
             committed: (1.0 - basic - additional).max(0.0),

@@ -142,8 +142,14 @@ pub(crate) fn thread_tid(thread: u32, dims: &LaunchDims) -> (u32, u32) {
     (thread % dims.block.0, thread / dims.block.0)
 }
 
+/// The live lanes of warp `warp` of a block of `threads_per_block`
+/// threads: only the last warp may be partial.
+pub(crate) fn warp_width(threads_per_block: u32, warp: u32) -> u32 {
+    (threads_per_block - warp * WARP_LANES as u32).min(WARP_LANES as u32)
+}
+
 /// The lanes set in `mask`, in ascending order.
-fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
+pub(crate) fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (mask != 0).then(|| {
             let lane = mask.trailing_zeros() as usize;
@@ -484,12 +490,10 @@ impl<'a> SmEngine<'a> {
                     .collect();
                 let warps = (0..nwarps)
                     .map(|w| {
-                        let base = w * 32;
-                        let width = (tpb - base).min(32);
                         Warp::new(
                             w,
-                            base,
-                            width,
+                            w * 32,
+                            warp_width(tpb, w),
                             program.start_of(penny_ir::BlockId(0)),
                             program.end_pc(),
                         )
@@ -1184,6 +1188,8 @@ impl<'a> SmEngine<'a> {
         reg: penny_ir::VReg,
         stats: &mut RunStats,
     ) -> Result<u32, StepFault> {
+        #[cfg(test)]
+        access_log::note(&self.blocks[bi], wi, lane, reg.0, true);
         let rf = &mut self.blocks[bi].rfs[wi];
         match rf.read_reference(rf.cell(reg.index(), lane), &mut stats.rf) {
             ReadOutcome::Ok(v) | ReadOutcome::CorrectedInline(v) => Ok(v),
@@ -1402,6 +1408,8 @@ impl<'a> SmEngine<'a> {
         stats: &mut RunStats,
     ) {
         if let Some(d) = dst {
+            #[cfg(test)]
+            access_log::note(&self.blocks[bi], wi, lane, d.0, false);
             let rf = &mut self.blocks[bi].rfs[wi];
             rf.write(rf.cell(d.index(), lane), value, &mut stats.rf);
         }
@@ -1644,6 +1652,60 @@ enum StepFault {
 impl From<SimError> for StepFault {
     fn from(e: SimError) -> StepFault {
         StepFault::Sim(e)
+    }
+}
+
+/// The engine's own account of the register cells a run accesses: the
+/// reference interpreter reports every cell it reads or writes, one lane
+/// at a time, while [`access_log::observed`] runs. Test builds only.
+#[cfg(test)]
+pub(crate) mod access_log {
+    use std::cell::RefCell;
+
+    use penny_core::Protected;
+
+    use super::{run_decode_reference, BlockCtx, GpuConfig, LaunchConfig};
+    use crate::memory::GlobalMemory;
+    use crate::SimError;
+
+    /// One register-cell access, as the reference interpreter made it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) struct Observed {
+        pub(crate) block: u32,
+        pub(crate) warp: u32,
+        pub(crate) lane: u32,
+        pub(crate) reg: u32,
+        /// The warp's dynamic index of the accessing instruction.
+        pub(crate) idx: u64,
+        pub(crate) read: bool,
+    }
+
+    thread_local! {
+        static LOG: RefCell<Option<Vec<Observed>>> = const { RefCell::new(None) };
+    }
+
+    pub(super) fn note(block: &BlockCtx, warp: usize, lane: usize, reg: u32, read: bool) {
+        LOG.with(|log| {
+            if let Some(log) = log.borrow_mut().as_mut() {
+                let idx = block.warps[warp].executed;
+                let (warp, lane) = (warp as u32, lane as u32);
+                log.push(Observed { block: block.index, warp, lane, reg, idx, read });
+            }
+        });
+    }
+
+    /// Runs `launch` fault-free on the reference interpreter and returns
+    /// every register-cell access it made, in order.
+    pub(crate) fn observed(
+        config: &GpuConfig,
+        protected: &Protected,
+        launch: &LaunchConfig,
+        global: &GlobalMemory,
+    ) -> Result<Vec<Observed>, SimError> {
+        LOG.with(|log| *log.borrow_mut() = Some(Vec::new()));
+        let run = run_decode_reference(config, protected, launch, &mut global.fork());
+        let log = LOG.with(|log| log.borrow_mut().take()).unwrap_or_default();
+        run.map(|_| log)
     }
 }
 

@@ -2,48 +2,70 @@
 //!
 //! A recording is the expensive half of a conformance campaign: one
 //! traced fault-free run per (workload, scheme) pair, whose wave marks,
-//! region-boundary snapshots, and register access trace answer every
-//! injection site afterwards. The ROADMAP numbers make the cost
-//! concrete — recording MT takes 0.568 ms against 0.035 ms per forked
-//! site, and SGEMM pays 3.6 ms per record — so repeated campaigns on an
-//! unchanged (kernel text, `PennyConfig`, `GpuConfig`) triple should
-//! not re-trace at all. This module gives `Recording` a stable on-disk
-//! form so `penny-bench`'s recording store can persist them under a
+//! region-boundary snapshots, and instruction streams answer every
+//! injection site afterwards. Repeated campaigns on an unchanged
+//! (kernel text, `PennyConfig`, `GpuConfig`) triple should not re-trace
+//! at all, so this module gives `Recording` a stable on-disk form that
+//! `penny-bench`'s recording store persists under a
 //! `penny_cache::recording_key` content fingerprint.
 //!
-//! # Format
+//! # Format (version 2)
 //!
-//! Little-endian throughout. The header is `b"PREC"`, a `u32` format
-//! version ([`RECORDING_FORMAT_VERSION`]), and the caller-supplied
-//! `u64` content fingerprint; [`Recording::deserialize`] rejects a
-//! wrong magic, an unknown version, or a fingerprint that does not
-//! match the caller's expectation *before* touching the body, so a
-//! stale or foreign file can never masquerade as a valid recording.
-//! After the header comes a shared page table: every distinct
-//! global-memory page in the recording, deduplicated by `Arc` identity.
-//! The recorded memories (wave start/end marks, snapshot heaps, the
-//! final image) fork from one another copy-on-write, so they share
-//! almost every page; interning restores both the compactness and the
-//! sharing on reload. The body then walks the recording's fields in a
-//! fixed order.
+//! Little-endian throughout. The 24-byte header is `b"PREC"`, a `u32`
+//! format version ([`RECORDING_FORMAT_VERSION`]), the caller-supplied
+//! `u64` content fingerprint, and a `u64` digest of every byte after the
+//! header. [`Recording::deserialize`] rejects a wrong magic, an unknown
+//! version, a fingerprint that does not match the caller's expectation,
+//! and then a body whose digest differs ([`LoadError::Corrupt`]), all
+//! before it parses a body byte: a stale, foreign or damaged file never
+//! masquerades as a valid recording.
 //!
-//! Two reconstruction shortcuts keep the format small and honest:
+//! The digest is FNV-1a over the body's little-endian `u64` words, run
+//! as four interleaved lanes (word `i` goes to lane `i % 4`; the tail is
+//! zero-padded to a whole 32-byte block) with a rotate after each
+//! multiply so high bits reach the low ones; the body length and the
+//! four lane states are folded into the result. Every step is a
+//! bijection of the word or state it takes in, so any change confined to
+//! one word — every single-bit flip — changes the digest.
 //!
-//! * register files are persisted as values only, per thread — a
-//!   fault-free recording never has a dirty cell, and a clean cell's
-//!   codeword is the encoding of its value. The serializer gathers each
-//!   thread's values from its lane of its warp's file and the loader
-//!   scatters them back, so the bytes do not depend on how the engine
-//!   holds registers, and a partial warp's padded lanes are never
-//!   written;
-//! * the decoded program, the block→wave index, each warp's region
-//!   entries and the per-region restored registers are rebuilt from the
-//!   `Protected` artifact, the wave list and the PC streams instead of
-//!   being stored (all are deterministic functions of them).
+//! The body is, in order:
 //!
-//! Warp traces are written in (block, warp) order, each behind its key,
-//! which is the order of the recording's dense per-warp table; the
-//! loader rejects a key out of range, repeated or out of order.
+//! 1. a shared page table: every distinct global-memory page in the
+//!    recording, deduplicated by `Arc` identity (the recorded memories
+//!    fork from one another copy-on-write, so they share almost every
+//!    page; interning keeps the file compact and restores the sharing
+//!    on reload); every memory below is its counters and a sorted list
+//!    of (page number, table index) pairs;
+//! 2. the launch: block and grid dims, then the parameter words;
+//! 3. global memory before the first wave;
+//! 4. for each wave of the wave plan: the run statistics at its end, its
+//!    cycle count, the global memory at its end, and its snapshots — each
+//!    a wave state (scheduler cycle, memory horizon and issue cursor; per
+//!    resident block its shared memory and, per warp, each register's
+//!    live-lane values and the warp's control state), the global memory
+//!    and the run statistics at the capture;
+//! 5. for each warp, block-major: its dynamic instruction count `n`,
+//!    then `n` PCs, `n` flow masks and `n` active masks.
+//!
+//! Everything else is derived on load, from the launch, the `Protected`
+//! artifact and the `GpuConfig` the caller already holds, by the code
+//! that derives it when recording: the decoded program and register
+//! count; the wave plan (each wave's SM and blocks); the statistics and
+//! memory before each later wave (the previous wave's end) and at the
+//! end of the run; each resident block's index and coordinates, its warp
+//! ids, base threads and widths, and its shared-memory size; each
+//! snapshot's per-warp progress; the recording counters; each warp's
+//! register access index and region entries (the one builder,
+//! `WarpTrace::build`, runs over the stored instruction streams); and the
+//! per-region restored registers. Register files are values only: a
+//! fault-free recording never has a dirty cell, and a clean cell carries
+//! no codeword. A partial warp's padded lanes belong to no thread and
+//! are never written.
+//!
+//! Behind the digest the loader still refuses a length that cannot fit
+//! in the bytes left, launch dims whose products overflow or whose warps
+//! cannot fit, a page-table index out of range, a page listed twice, a
+//! PC outside the program, and trailing bytes.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -54,23 +76,23 @@ use penny_coding::Codec;
 use penny_core::{LaunchDims, Protected};
 use penny_ir::RegionId;
 
-use crate::config::GpuConfig;
-use crate::engine::{thread_tid, BlockCtx, LaunchConfig, RunStats, WaveState};
+use crate::config::{GpuConfig, RfProtection};
+use crate::engine::{warp_width, wave_plan, BlockCtx, LaunchConfig, RunStats, WaveState};
 use crate::memory::{GlobalMemory, PageMap, SharedMemory, PAGE_WORDS};
 use crate::program::Program;
 use crate::regfile::{RegFile, RfStats, WARP_LANES};
-use crate::snapshot::{
-    block_waves, restored_sets, Access, Recording, RecordingCounters, Snap, WarpTrace,
-    WaveRec,
-};
+use crate::snapshot::{Recording, Snap, Stream, WaveRec};
 use crate::warp::{StackEntry, Warp, WarpSnapshot};
 
 /// File magic: "Penny RECording".
 const MAGIC: &[u8; 4] = b"PREC";
 
+/// Header bytes: magic, version, fingerprint, body digest.
+const HEADER: usize = 24;
+
 /// Current on-disk format version. Any layout change bumps this, which
 /// invalidates every persisted recording at load time.
-pub const RECORDING_FORMAT_VERSION: u32 = 1;
+pub const RECORDING_FORMAT_VERSION: u32 = 2;
 
 /// Why a persisted recording was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,13 +110,13 @@ pub enum LoadError {
         /// Fingerprint stored in the file.
         found: u64,
     },
+    /// The body does not match the digest in the header: the file was
+    /// damaged after it was written.
+    Corrupt,
     /// The file ended before the structure did.
     Truncated,
     /// The body is structurally invalid (bad index, impossible length).
     Malformed(String),
-    /// The body is inconsistent with the artifact or GPU configuration
-    /// it is being loaded against.
-    ConfigMismatch(String),
 }
 
 impl fmt::Display for LoadError {
@@ -113,16 +135,32 @@ impl fmt::Display for LoadError {
                 "recording fingerprint mismatch: expected {expected:#018x}, file has \
                  {found:#018x}"
             ),
+            LoadError::Corrupt => write!(f, "recording body does not match its digest"),
             LoadError::Truncated => write!(f, "recording file is truncated"),
             LoadError::Malformed(m) => write!(f, "malformed recording: {m}"),
-            LoadError::ConfigMismatch(m) => {
-                write!(f, "recording does not match the current configuration: {m}")
-            }
         }
     }
 }
 
 impl Error for LoadError {}
+
+/// The body digest (see the module docs).
+fn digest(bytes: &[u8]) -> u64 {
+    let mix = |h: u64, w: u64| (h ^ w).wrapping_mul(0x100_0000_01b3).rotate_left(23);
+    let mut lanes = [0xcbf2_9ce4_8422_2325u64; 4];
+    let mut blocks = bytes.chunks_exact(32);
+    let mut tail = [0u8; 32];
+    tail[..blocks.remainder().len()].copy_from_slice(blocks.remainder());
+    let mut step = |block: &[u8]| {
+        for (k, h) in lanes.iter_mut().enumerate() {
+            let word = block[8 * k..8 * k + 8].try_into().expect("an 8-byte word");
+            *h = mix(*h, u64::from_le_bytes(word));
+        }
+    };
+    blocks.by_ref().for_each(&mut step);
+    step(&tail);
+    lanes.into_iter().fold(bytes.len() as u64, mix)
+}
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -136,6 +174,13 @@ fn put_bool(buf: &mut Vec<u8>, v: bool) {
     buf.push(v as u8);
 }
 
+fn put_words(buf: &mut Vec<u8>, words: &[u32]) {
+    buf.reserve(4 * words.len());
+    for &w in words {
+        put_u32(buf, w);
+    }
+}
+
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -146,13 +191,16 @@ impl<'a> Reader<'a> {
         Reader { bytes, pos: 0 }
     }
 
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], LoadError> {
-        let end = self.pos.checked_add(n).ok_or(LoadError::Truncated)?;
-        if end > self.bytes.len() {
+        if n > self.remaining() {
             return Err(LoadError::Truncated);
         }
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
+        let s = &self.bytes[self.pos..self.pos + n];
+        self.pos += n;
         Ok(s)
     }
 
@@ -164,19 +212,11 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Bulk-decodes `n` little-endian `u32`s in one bounds check. The
-    /// element-at-a-time `u32()` path costs a range check and a `pos`
-    /// update per word, which dominates load time for multi-megabyte
-    /// recordings (pages, register files, traces are all `u32` runs).
+    /// Bulk-decodes `n` little-endian `u32`s in one bounds check (pages,
+    /// register files and instruction streams are all `u32` runs).
     fn u32_vec(&mut self, n: usize) -> Result<Vec<u32>, LoadError> {
         let raw = self.take(n.checked_mul(4).ok_or(LoadError::Truncated)?)?;
         Ok(raw.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect())
-    }
-
-    /// Bulk-decodes `n` little-endian `u64`s (see [`Reader::u32_vec`]).
-    fn u64_vec(&mut self, n: usize) -> Result<Vec<u64>, LoadError> {
-        let raw = self.take(n.checked_mul(8).ok_or(LoadError::Truncated)?)?;
-        Ok(raw.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect())
     }
 
     fn bool(&mut self) -> Result<bool, LoadError> {
@@ -192,21 +232,18 @@ impl<'a> Reader<'a> {
     /// corrupted length cannot drive a huge allocation.
     fn len(&mut self, min_elem: usize) -> Result<usize, LoadError> {
         let n = self.u64()?;
-        let remaining = (self.bytes.len() - self.pos) as u64;
-        if n.saturating_mul(min_elem.max(1) as u64) > remaining {
+        if n.saturating_mul(min_elem.max(1) as u64) > self.remaining() as u64 {
             return Err(LoadError::Truncated);
         }
         Ok(n as usize)
     }
 
     fn done(&self) -> Result<(), LoadError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(LoadError::Malformed(format!(
-                "{} trailing bytes after the recording body",
-                self.bytes.len() - self.pos
-            )))
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(LoadError::Malformed(format!(
+                "{n} trailing bytes after the recording body"
+            ))),
         }
     }
 }
@@ -306,88 +343,6 @@ fn get_global(
     Ok(GlobalMemory::from_parts(map, reads, writes))
 }
 
-fn put_shared(buf: &mut Vec<u8>, s: &SharedMemory) {
-    put_u64(buf, s.reads);
-    put_u64(buf, s.writes);
-    let words = s.words();
-    put_u64(buf, words.len() as u64);
-    for &w in words {
-        put_u32(buf, w);
-    }
-}
-
-fn get_shared(r: &mut Reader<'_>) -> Result<SharedMemory, LoadError> {
-    let reads = r.u64()?;
-    let writes = r.u64()?;
-    let n = r.len(4)?;
-    let words = r.u32_vec(n)?;
-    Ok(SharedMemory::from_parts(words, reads, writes))
-}
-
-/// Writes each of a block's threads — its coordinates and its
-/// registers' values — gathered from its lane of its warp's file. The
-/// padded lanes of a partial last warp belong to no thread and are not
-/// written.
-fn put_threads(buf: &mut Vec<u8>, rfs: &[RegFile], dims: &LaunchDims) {
-    let tpb = dims.threads_per_block();
-    put_u64(buf, tpb as u64);
-    for t in 0..tpb {
-        let (x, y) = thread_tid(t, dims);
-        put_u32(buf, x);
-        put_u32(buf, y);
-        let rf = &rfs[t as usize / WARP_LANES];
-        debug_assert_eq!(rf.dirty_count(), 0, "recordings persist clean register files");
-        let lane = t as usize % WARP_LANES;
-        put_u64(buf, rf.len() as u64);
-        for reg in 0..rf.len() {
-            put_u32(buf, rf.row(reg)[lane]);
-        }
-    }
-}
-
-/// Reads a block's threads and scatters their values into one clean
-/// file per warp. Every thread must carry its own coordinates and
-/// exactly `num_regs` values.
-fn get_threads(
-    r: &mut Reader<'_>,
-    dims: &LaunchDims,
-    num_regs: usize,
-    config: &GpuConfig,
-    codec: &Option<Codec>,
-) -> Result<Vec<RegFile>, LoadError> {
-    let tpb = dims.threads_per_block() as usize;
-    let nthreads = r.len(8 + 8)?;
-    if nthreads != tpb {
-        return Err(LoadError::Malformed(format!(
-            "block has {nthreads} threads, dims give {tpb}"
-        )));
-    }
-    let mut rows = vec![vec![0u32; num_regs * WARP_LANES]; tpb.div_ceil(WARP_LANES)];
-    for t in 0..tpb {
-        let tid = (r.u32()?, r.u32()?);
-        if tid != thread_tid(t as u32, dims) {
-            return Err(LoadError::Malformed(format!(
-                "thread {t} has coordinates {tid:?}"
-            )));
-        }
-        let n = r.len(4)?;
-        if n != num_regs {
-            return Err(LoadError::Malformed(format!(
-                "thread {t} has {n} registers, expected {num_regs}"
-            )));
-        }
-        let raw = r.take(4 * n)?;
-        let (values, lane) = (&mut rows[t / WARP_LANES], t % WARP_LANES);
-        for (reg, c) in raw.chunks_exact(4).enumerate() {
-            values[reg * WARP_LANES + lane] = u32::from_le_bytes(c.try_into().unwrap());
-        }
-    }
-    Ok(rows
-        .into_iter()
-        .map(|values| RegFile::warp_from_values(values, config.rf, codec.clone()))
-        .collect())
-}
-
 fn put_stack(buf: &mut Vec<u8>, stack: &[StackEntry]) {
     put_u64(buf, stack.len() as u64);
     for e in stack {
@@ -410,10 +365,13 @@ fn get_stack(r: &mut Reader<'_>) -> Result<Vec<StackEntry>, LoadError> {
         .collect()
 }
 
-fn put_warp(buf: &mut Vec<u8>, w: &Warp) {
-    put_u32(buf, w.id);
-    put_u32(buf, w.base_thread);
-    put_u32(buf, w.width);
+/// Writes a warp's live-lane register values, register by register, and
+/// its control state. A partial warp's padded lanes are not written.
+fn put_warp(buf: &mut Vec<u8>, rf: &RegFile, w: &Warp) {
+    debug_assert_eq!(rf.dirty_count(), 0, "recordings persist clean register files");
+    for reg in 0..rf.len() {
+        put_words(buf, &rf.row(reg)[..w.width as usize]);
+    }
     put_stack(buf, &w.stack);
     put_u32(buf, w.exited);
     put_u64(buf, w.stall_until);
@@ -432,10 +390,35 @@ fn put_warp(buf: &mut Vec<u8>, w: &Warp) {
     put_bool(buf, w.atomic_since_snapshot);
 }
 
-fn get_warp(r: &mut Reader<'_>) -> Result<Warp, LoadError> {
-    let id = r.u32()?;
-    let base_thread = r.u32()?;
-    let width = r.u32()?;
+/// What the loader derives about every resident block from the launch,
+/// the artifact and the GPU configuration.
+struct BlockShape {
+    dims: LaunchDims,
+    num_regs: usize,
+    shared_words: usize,
+    rf: RfProtection,
+    /// Built once and cloned per register file: the ECC codecs carry
+    /// lookup tables that are cheaper to copy than to rebuild.
+    codec: Option<Codec>,
+}
+
+/// Reads warp `id` of a block: its register values, scattered into a
+/// clean 32-lane file, and its control state.
+fn get_warp(
+    r: &mut Reader<'_>,
+    shape: &BlockShape,
+    id: u32,
+) -> Result<(RegFile, Warp), LoadError> {
+    let width = warp_width(shape.dims.threads_per_block(), id) as usize;
+    let raw = r.take(shape.num_regs * width * 4)?;
+    let mut values = vec![0u32; shape.num_regs * WARP_LANES];
+    for (row, live) in values.chunks_exact_mut(WARP_LANES).zip(raw.chunks_exact(width * 4))
+    {
+        for (v, c) in row.iter_mut().zip(live.chunks_exact(4)) {
+            *v = u32::from_le_bytes(c.try_into().expect("a 4-byte word"));
+        }
+    }
+    let rf = RegFile::warp_from_values(values, shape.rf, shape.codec.clone());
     let stack = get_stack(r)?;
     let exited = r.u32()?;
     let stall_until = r.u64()?;
@@ -451,139 +434,59 @@ fn get_warp(r: &mut Reader<'_>) -> Result<Warp, LoadError> {
     } else {
         None
     };
-    let atomic_since_snapshot = r.bool()?;
-    Ok(Warp {
+    let warp = Warp {
         id,
-        base_thread,
-        width,
+        base_thread: id * WARP_LANES as u32,
+        width: width as u32,
         stack,
         exited,
         stall_until,
         at_barrier,
         executed,
         snapshot,
-        atomic_since_snapshot,
-    })
+        atomic_since_snapshot: r.bool()?,
+    };
+    Ok((rf, warp))
 }
 
-fn put_state(buf: &mut Vec<u8>, st: &WaveState, dims: &LaunchDims) {
+fn put_state(buf: &mut Vec<u8>, st: &WaveState) {
     put_u64(buf, st.cycle);
     put_u64(buf, st.mem_busy_until);
     put_u64(buf, st.rr_cursor as u64);
-    put_u64(buf, st.blocks.len() as u64);
     for b in &st.blocks {
-        put_u32(buf, b.index);
-        put_u32(buf, b.cta.0);
-        put_u32(buf, b.cta.1);
-        put_shared(buf, &b.shared);
-        put_threads(buf, &b.rfs, dims);
-        put_u64(buf, b.warps.len() as u64);
-        for w in &b.warps {
-            put_warp(buf, w);
+        put_u64(buf, b.shared.reads);
+        put_u64(buf, b.shared.writes);
+        put_words(buf, b.shared.words());
+        for (rf, w) in b.rfs.iter().zip(&b.warps) {
+            put_warp(buf, rf, w);
         }
     }
 }
 
+/// Reads the state of a wave whose resident blocks are `blocks`.
 fn get_state(
     r: &mut Reader<'_>,
-    dims: &LaunchDims,
-    num_regs: usize,
-    config: &GpuConfig,
-    codec: &Option<Codec>,
+    blocks: &[u32],
+    shape: &BlockShape,
 ) -> Result<WaveState, LoadError> {
     let cycle = r.u64()?;
     let mem_busy_until = r.u64()?;
     let rr_cursor = r.u64()? as usize;
-    let nblocks = r.len(1)?;
-    let mut blocks = Vec::with_capacity(nblocks);
-    for _ in 0..nblocks {
-        let index = r.u32()?;
-        let cta = (r.u32()?, r.u32()?);
-        let shared = get_shared(r)?;
-        let rfs = get_threads(r, dims, num_regs, config, codec)?;
-        let nwarps = r.len(1)?;
-        let warps = (0..nwarps).map(|_| get_warp(r)).collect::<Result<Vec<Warp>, _>>()?;
-        // Each warp owns the file its lanes were scattered into.
-        let tpb = dims.threads_per_block();
-        let misplaced = warps.len() != rfs.len()
-            || warps.iter().enumerate().any(|(i, w)| {
-                let base = i as u32 * WARP_LANES as u32;
-                (w.id, w.base_thread, w.width) != (i as u32, base, (tpb - base).min(32))
-            });
-        if misplaced {
-            return Err(LoadError::Malformed(
-                "warps disagree with the block's threads".into(),
-            ));
-        }
-        blocks.push(BlockCtx { index, cta, shared, rfs, warps });
-    }
+    let dims = &shape.dims;
+    let blocks = blocks
+        .iter()
+        .map(|&index| {
+            let (reads, writes) = (r.u64()?, r.u64()?);
+            let shared =
+                SharedMemory::from_parts(r.u32_vec(shape.shared_words)?, reads, writes);
+            let nwarps = dims.threads_per_block().div_ceil(WARP_LANES as u32);
+            let (rfs, warps) =
+                (0..nwarps).map(|w| get_warp(r, shape, w)).collect::<Result<_, _>>()?;
+            let cta = (index % dims.grid.0, index / dims.grid.0);
+            Ok(BlockCtx { index, cta, shared, rfs, warps })
+        })
+        .collect::<Result<_, LoadError>>()?;
     Ok(WaveState { blocks, cycle, mem_busy_until, rr_cursor })
-}
-
-fn put_trace(buf: &mut Vec<u8>, tr: &WarpTrace) {
-    put_u64(buf, tr.final_executed);
-    put_u32(buf, tr.width);
-    put_u64(buf, tr.num_cells() as u64);
-    for i in 0..tr.num_cells() {
-        let cell = tr.cell(i);
-        put_u64(buf, cell.len() as u64);
-        for a in cell {
-            put_u64(buf, a.idx);
-            put_bool(buf, a.read);
-        }
-    }
-    put_u64(buf, tr.pcs.len() as u64);
-    for &pc in &tr.pcs {
-        put_u32(buf, pc);
-    }
-    put_u64(buf, tr.masks.len() as u64);
-    for &m in &tr.masks {
-        put_u32(buf, m);
-    }
-}
-
-fn get_trace(
-    r: &mut Reader<'_>,
-    num_regs: usize,
-    program: &Program,
-) -> Result<WarpTrace, LoadError> {
-    let final_executed = r.u64()?;
-    let width = r.u32()?;
-    let ncells = r.len(8)?;
-    if ncells != 32 * num_regs {
-        return Err(LoadError::Malformed(format!(
-            "warp trace has {ncells} cells, expected {}",
-            32 * num_regs
-        )));
-    }
-    // The CSR layout rebuilds from exactly two growing vectors; each
-    // cell decodes its fixed 9-byte (u64 idx, bool read) pairs from a
-    // single `take`, so the whole trace section — the bulk of a large
-    // recording — costs one bounds check per cell, not per access.
-    let mut offsets = Vec::with_capacity(ncells + 1);
-    offsets.push(0u32);
-    let mut flat = Vec::new();
-    for _ in 0..ncells {
-        let n = r.len(9)?;
-        let raw = r.take(9 * n)?;
-        flat.reserve(n);
-        for c in raw.chunks_exact(9) {
-            let read = match c[8] {
-                0 => false,
-                1 => true,
-                b => return Err(LoadError::Malformed(format!("invalid bool byte {b}"))),
-            };
-            flat.push(Access { idx: u64::from_le_bytes(c[..8].try_into().unwrap()), read });
-        }
-        let end = u32::try_from(flat.len())
-            .map_err(|_| LoadError::Malformed("access trace exceeds u32 range".into()))?;
-        offsets.push(end);
-    }
-    let npcs = r.len(4)?;
-    let pcs = r.u32_vec(npcs)?;
-    let nmasks = r.len(4)?;
-    let masks = r.u32_vec(nmasks)?;
-    Ok(WarpTrace::from_csr(offsets, flat, final_executed, width, pcs, masks, program))
 }
 
 impl Recording {
@@ -595,87 +498,67 @@ impl Recording {
         let mut table = PageTable::default();
         let mut body = Vec::new();
 
-        // Launch geometry and parameters (recordings are fault-free, so
-        // the fault plan is implicitly empty).
-        put_u32(&mut body, self.launch.dims.block.0);
-        put_u32(&mut body, self.launch.dims.block.1);
-        put_u32(&mut body, self.launch.dims.grid.0);
-        put_u32(&mut body, self.launch.dims.grid.1);
+        // The launch (recordings are fault-free, so the fault plan is
+        // implicitly empty).
+        let dims = &self.launch.dims;
+        put_words(&mut body, &[dims.block.0, dims.block.1, dims.grid.0, dims.grid.1]);
         put_u64(&mut body, self.launch.params.len() as u64);
-        for &p in &self.launch.params {
-            put_u32(&mut body, p);
-        }
+        put_words(&mut body, &self.launch.params);
 
-        put_u64(&mut body, self.num_regs as u64);
-        put_u32(&mut body, self.warps_per_block);
-        put_stats(&mut body, &self.final_stats);
-        put_u64(&mut body, self.counters.snapshots);
-        put_u64(&mut body, self.counters.total_warp_insts);
-
-        put_u64(&mut body, self.waves.len() as u64);
+        let initial = self.waves.first().map_or(&self.final_global, |w| &w.global_start);
+        put_global(&mut body, &mut table, initial);
         for w in &self.waves {
-            put_u64(&mut body, w.sm as u64);
-            put_u64(&mut body, w.blocks.len() as u64);
-            for &b in &w.blocks {
-                put_u32(&mut body, b);
-            }
-            put_stats(&mut body, &w.stats_before);
             put_stats(&mut body, &w.stats_after);
             put_u64(&mut body, w.cycles);
-            put_global(&mut body, &mut table, &w.global_start);
             put_global(&mut body, &mut table, &w.global_end);
             put_u64(&mut body, w.snaps.len() as u64);
             for s in &w.snaps {
-                put_state(&mut body, &s.state, &self.launch.dims);
+                put_state(&mut body, &s.state);
                 put_global(&mut body, &mut table, &s.global);
                 put_stats(&mut body, &s.stats);
-                put_u64(&mut body, s.executed.len() as u64);
-                for &e in &s.executed {
-                    put_u64(&mut body, e);
-                }
             }
         }
 
-        put_u64(&mut body, self.traces.len() as u64);
-        for (s, tr) in self.warp_streams().zip(&self.traces) {
-            put_u32(&mut body, s.block);
-            put_u32(&mut body, s.warp);
-            put_trace(&mut body, tr);
+        for tr in &self.traces {
+            let s = &tr.stream;
+            put_u64(&mut body, s.pcs.len() as u64);
+            put_words(&mut body, &s.pcs);
+            put_words(&mut body, &s.masks);
+            put_words(&mut body, &s.actives);
         }
-
-        put_global(&mut body, &mut table, &self.final_global);
 
         // Header + interned page table + body. The table is complete
         // only after the body interned every page, so it is assembled
-        // last but written first.
-        let mut out =
-            Vec::with_capacity(16 + table.pages.len() * (4 * PAGE_WORDS) + body.len());
+        // last but written first; the digest goes in once both are.
+        let mut out = Vec::with_capacity(
+            HEADER + 8 + table.pages.len() * (4 * PAGE_WORDS) + body.len(),
+        );
         out.extend_from_slice(MAGIC);
         put_u32(&mut out, RECORDING_FORMAT_VERSION);
         put_u64(&mut out, fingerprint);
+        put_u64(&mut out, 0);
         put_u64(&mut out, table.pages.len() as u64);
         for pg in &table.pages {
-            for &w in pg.iter() {
-                put_u32(&mut out, w);
-            }
+            put_words(&mut out, &pg[..]);
         }
         out.extend_from_slice(&body);
+        let sum = digest(&out[HEADER..]);
+        out[HEADER - 8..HEADER].copy_from_slice(&sum.to_le_bytes());
         out
     }
 
     /// Reloads a recording persisted by [`Recording::serialize`],
-    /// validating the header against `expected_fingerprint` and
-    /// rebuilding the decoded program from `protected` and the
-    /// register-file encodings from `config`.
+    /// validating the header against `expected_fingerprint` and the
+    /// body against its digest, and deriving everything the file does
+    /// not store from `protected` and `config` (see the module docs).
     ///
     /// # Errors
     ///
     /// [`LoadError::BadMagic`] / [`LoadError::UnsupportedVersion`] /
     /// [`LoadError::FingerprintMismatch`] when the header does not
-    /// match; [`LoadError::Truncated`] / [`LoadError::Malformed`] on a
-    /// damaged body; [`LoadError::ConfigMismatch`] when the body is
-    /// inconsistent with `protected` or `config` (a fingerprint
-    /// collision or a caller bug).
+    /// match; [`LoadError::Corrupt`] when the body does not match its
+    /// digest; [`LoadError::Truncated`] / [`LoadError::Malformed`] on a
+    /// body that matches its digest but not the format.
     pub fn deserialize(
         bytes: &[u8],
         expected_fingerprint: u64,
@@ -697,11 +580,9 @@ impl Recording {
                 found,
             });
         }
-
-        // Built once and cloned per register file: a campaign-sized
-        // recording reconstructs thousands of them, and the ECC codecs
-        // carry lookup tables that are cheaper to copy than to rebuild.
-        let codec = config.rf.scheme().codec();
+        if r.u64()? != digest(&bytes[HEADER..]) {
+            return Err(LoadError::Corrupt);
+        }
 
         let npages = r.len(4 * PAGE_WORDS)?;
         let mut pages = Vec::with_capacity(npages);
@@ -709,117 +590,89 @@ impl Recording {
             let raw = r.take(4 * PAGE_WORDS)?;
             let mut arr = [0u32; PAGE_WORDS];
             for (w, c) in arr.iter_mut().zip(raw.chunks_exact(4)) {
-                *w = u32::from_le_bytes(c.try_into().unwrap());
+                *w = u32::from_le_bytes(c.try_into().expect("a 4-byte word"));
             }
             pages.push(Arc::new(arr));
         }
 
+        // The launch dims size everything below, so they are checked
+        // before any of it is derived: both products must fit, and each
+        // block costs the file at least 8 bytes per warp (its stream's
+        // length) or, with no threads, 8 for the wave it runs alone in.
         let dims = LaunchDims { block: (r.u32()?, r.u32()?), grid: (r.u32()?, r.u32()?) };
-        let nparams = r.len(4)?;
-        let params = r.u32_vec(nparams)?;
-        let launch = LaunchConfig::new(dims, params);
-
-        let program = Program::new(&protected.kernel);
-        let num_regs = r.u64()? as usize;
-        if num_regs != program.num_regs.max(1) {
-            return Err(LoadError::ConfigMismatch(format!(
-                "recording has {num_regs} registers, kernel has {}",
-                program.num_regs.max(1)
+        let (Some(tpb), Some(nblocks)) =
+            (dims.block.0.checked_mul(dims.block.1), dims.grid.0.checked_mul(dims.grid.1))
+        else {
+            return Err(LoadError::Malformed(format!("impossible launch dims {dims:?}")));
+        };
+        let wpb = u64::from(tpb.div_ceil(WARP_LANES as u32));
+        if (u64::from(nblocks) * wpb.max(1)).saturating_mul(8) > r.remaining() as u64 {
+            return Err(LoadError::Malformed(format!(
+                "launch dims {dims:?} do not fit in the file"
             )));
         }
-        let warps_per_block = r.u32()?;
-        if warps_per_block != dims.threads_per_block().div_ceil(32) {
-            return Err(LoadError::Malformed("warps-per-block disagrees with dims".into()));
-        }
-        let final_stats = get_stats(&mut r)?;
-        let counters =
-            RecordingCounters { snapshots: r.u64()?, total_warp_insts: r.u64()? };
+        let nwarps = u64::from(nblocks) * wpb;
+        let nparams = r.len(4)?;
+        let launch = LaunchConfig::new(dims, r.u32_vec(nparams)?);
 
-        let num_sms = config.num_sms as usize;
-        let nwaves = r.len(1)?;
-        let mut waves = Vec::with_capacity(nwaves);
-        for _ in 0..nwaves {
-            let sm = r.u64()? as usize;
-            if sm >= num_sms {
-                return Err(LoadError::ConfigMismatch(format!(
-                    "wave on SM {sm}, GPU has {num_sms}"
-                )));
-            }
-            let nblocks = r.len(4)?;
-            let blocks = r.u32_vec(nblocks)?;
-            let stats_before = get_stats(&mut r)?;
+        let program = Program::new(&protected.kernel);
+        let shape = BlockShape {
+            dims,
+            num_regs: program.num_regs.max(1),
+            shared_words: (program.shared_bytes + protected.shared_ckpt_bytes).div_ceil(4)
+                as usize,
+            rf: config.rf,
+            codec: config.rf.scheme().codec(),
+        };
+        let plan = wave_plan(config, protected, &launch, &program);
+        let mut global = get_global(&mut r, &pages)?;
+        let mut stats_before = RunStats::default();
+        let mut waves = Vec::with_capacity(plan.len());
+        for slot in plan {
             let stats_after = get_stats(&mut r)?;
             let cycles = r.u64()?;
-            let global_start = get_global(&mut r, &pages)?;
             let global_end = get_global(&mut r, &pages)?;
             let nsnaps = r.len(1)?;
-            let mut snaps = Vec::with_capacity(nsnaps);
-            for _ in 0..nsnaps {
-                let state = get_state(&mut r, &dims, num_regs, config, &codec)?;
-                let global = get_global(&mut r, &pages)?;
-                let stats = get_stats(&mut r)?;
-                let nexec = r.len(8)?;
-                let executed = r.u64_vec(nexec)?;
-                snaps.push(Snap { state, global, stats, executed });
-            }
+            let snaps = (0..nsnaps)
+                .map(|_| {
+                    Ok(Snap {
+                        state: get_state(&mut r, &slot.blocks, &shape)?,
+                        global: get_global(&mut r, &pages)?,
+                        stats: get_stats(&mut r)?,
+                    })
+                })
+                .collect::<Result<_, LoadError>>()?;
             waves.push(WaveRec {
-                sm,
-                blocks,
+                sm: slot.sm,
+                blocks: slot.blocks,
                 stats_before,
                 stats_after,
                 cycles,
-                global_start,
+                global_start: std::mem::replace(&mut global, global_end.fork()),
                 global_end,
                 snaps,
             });
+            stats_before = stats_after;
         }
 
-        let block_wave = block_waves(&waves).map_err(|b| {
-            LoadError::Malformed(format!(
-                "block {b} out of range or scheduled in two waves"
-            ))
-        })?;
-
-        // One trace per scheduled (block, warp), written in the dense
-        // table's order: the table is sized by the length-checked count,
-        // and a key out of range, repeated or out of order is rejected.
-        let ntraces = r.len(8)?;
-        let wpb = warps_per_block as usize;
-        if ntraces as u64 != (block_wave.len() as u64).saturating_mul(wpb as u64) {
-            return Err(LoadError::Malformed(format!(
-                "{ntraces} warp traces for {} blocks of {wpb} warps",
-                block_wave.len()
-            )));
-        }
-        let mut traces = Vec::with_capacity(ntraces);
-        for i in 0..ntraces {
-            let key = (r.u32()?, r.u32()?);
-            if key != ((i / wpb) as u32, (i % wpb) as u32) {
-                return Err(LoadError::Malformed(format!(
-                    "warp trace {key:?} out of place"
-                )));
-            }
-            traces.push(get_trace(&mut r, num_regs, &program)?);
-        }
-
-        let final_global = get_global(&mut r, &pages)?;
+        let streams = (0..nwarps)
+            .map(|_| {
+                let n = r.len(12)?;
+                let stream = Stream {
+                    pcs: r.u32_vec(n)?,
+                    masks: r.u32_vec(n)?,
+                    actives: r.u32_vec(n)?,
+                };
+                match stream.pcs.iter().find(|&&pc| pc as usize >= program.decoded.len()) {
+                    Some(pc) => {
+                        Err(LoadError::Malformed(format!("PC {pc} outside the program")))
+                    }
+                    None => Ok(stream),
+                }
+            })
+            .collect::<Result<_, LoadError>>()?;
         r.done()?;
-
-        Ok(Recording {
-            protection: config.rf,
-            num_sms,
-            launch,
-            program,
-            waves,
-            block_wave,
-            traces,
-            num_regs,
-            warps_per_block,
-            final_stats,
-            final_global,
-            counters,
-            restored: restored_sets(config.rf, protected, num_regs),
-        })
+        Ok(Recording::assemble(config, protected, launch, program, waves, streams, global))
     }
 }
 
@@ -867,47 +720,6 @@ mod tests {
         assert_eq!(err, LoadError::Truncated);
     }
 
-    #[test]
-    fn out_of_range_and_duplicate_trace_keys_are_malformed() {
-        let config = GpuConfig::fermi();
-        let kernel =
-            penny_ir::parse_kernel(".kernel f\nentry:\n mov.u32 %r0, %tid.x\n ret\n")
-                .expect("parse");
-        let protected = Protected::passthrough(kernel);
-        let launch = LaunchConfig::new(LaunchDims::linear(2, 64), Vec::new());
-        let rec = Recording::record(&config, &protected, &launch, &GlobalMemory::new())
-            .expect("record");
-        let wpb = rec.warps_per_block;
-        assert_eq!((rec.traces.len(), wpb), (4, 2));
-        let bytes = rec.serialize(1);
-        // Trace `i`'s key is the (block, warp) pair right before its
-        // final count, width and cell count.
-        let key_at = |i: usize| {
-            let tr = &rec.traces[i];
-            let mut pat = Vec::new();
-            put_u32(&mut pat, i as u32 / wpb);
-            put_u32(&mut pat, i as u32 % wpb);
-            put_u64(&mut pat, tr.final_executed);
-            put_u32(&mut pat, tr.width);
-            put_u64(&mut pat, tr.num_cells() as u64);
-            bytes.windows(pat.len()).position(|w| w == pat).expect("trace key")
-        };
-        for (i, key) in [(0, (0, wpb)), (0, (2, 0)), (1, (0, 0)), (3, (u32::MAX, 1))] {
-            let mut bad = bytes.clone();
-            let at = key_at(i);
-            bad[at..at + 4].copy_from_slice(&key.0.to_le_bytes());
-            bad[at + 4..at + 8].copy_from_slice(&key.1.to_le_bytes());
-            let err = Recording::deserialize(&bad, 1, &config, &protected)
-                .err()
-                .expect("a bad trace key must be rejected");
-            assert!(
-                matches!(err, LoadError::Malformed(_)),
-                "trace {i} as {key:?}: {err:?}"
-            );
-        }
-        assert!(Recording::deserialize(&bytes, 1, &config, &protected).is_ok());
-    }
-
     /// A Penny recording of a 48-thread block (its second warp is 16
     /// lanes wide) with region-boundary snapshots to persist.
     fn partial_warp_recording() -> (GpuConfig, Protected, Recording) {
@@ -928,7 +740,7 @@ mod tests {
         let launch = LaunchConfig::new(dims, vec![0x1000]);
         let rec = Recording::record(&config, &protected, &launch, &GlobalMemory::new())
             .expect("record");
-        assert!(rec.counters.snapshots > 0, "the recording must persist block states");
+        assert!(rec.counters().snapshots > 0, "the recording must persist block states");
         (config, protected, rec)
     }
 
@@ -954,56 +766,42 @@ mod tests {
         assert_eq!(poisoned.serialize(1), bytes, "padded lanes leaked into the bytes");
     }
 
+    /// Launch dims whose products overflow, or whose blocks cannot fit
+    /// in the file (thread-less ones included), are `Malformed`, never a
+    /// panic or a runaway wave plan. Each damaged file carries a
+    /// recomputed digest, so the dims check rejects it, not the digest.
     #[test]
-    fn short_ragged_or_misplaced_threads_are_malformed() {
+    fn impossible_launch_dims_are_malformed() {
         let (config, protected, rec) = partial_warp_recording();
         let bytes = rec.serialize(1);
-        // Thread 1's entry in the first persisted block state:
-        // coordinates, register count, values.
-        let state =
-            &rec.waves.iter().find_map(|w| w.snaps.first()).expect("snapshot").state;
-        let rf = &state.blocks[0].rfs[0];
-        let mut entry = Vec::new();
-        put_u32(&mut entry, 1);
-        put_u32(&mut entry, 0);
-        put_u64(&mut entry, rf.len() as u64);
-        for reg in 0..rf.len() {
-            put_u32(&mut entry, rf.row(reg)[1]);
-        }
-        let at = bytes.windows(entry.len()).position(|w| w == entry).expect("thread 1");
-        let count_at = at - entry.len() - 8; // the block's thread count
-        let regs = rf.len() as u64;
-        for (offset, value) in [
-            (at + 8, regs - 1), // a short register list
-            (at + 8, regs + 1), // a ragged one
-            (at, 2),            // thread 1 claiming thread 2's coordinates
-            (count_at, 47),     // one thread short of the block
-            (count_at, 64),     // the padded lanes claimed as threads
+        // The dims follow the page table.
+        let npages = u64::from_le_bytes(bytes[HEADER..HEADER + 8].try_into().unwrap());
+        let at = HEADER + 8 + npages as usize * 4 * PAGE_WORDS;
+        let dims_at = |bytes: &[u8]| -> Vec<u32> {
+            bytes[at..at + 16]
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+                .collect()
+        };
+        assert_eq!(dims_at(&bytes), [48, 1, 1, 1]);
+        for dims in [
+            [65536, 65536, 1, 1],
+            [48, 1, 65536, 65536],
+            [48, 1, u32::MAX, 1],
+            [0, 1, u32::MAX, 1],
         ] {
             let mut bad = bytes.clone();
-            let width = if offset == at { 4 } else { 8 };
-            bad[offset..offset + width].copy_from_slice(&value.to_le_bytes()[..width]);
+            for (i, v) in dims.iter().enumerate() {
+                bad[at + 4 * i..at + 4 * i + 4].copy_from_slice(&v.to_le_bytes());
+            }
+            let sum = digest(&bad[HEADER..]);
+            bad[HEADER - 8..HEADER].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(dims_at(&bad), dims);
             let err = Recording::deserialize(&bad, 1, &config, &protected)
                 .err()
-                .expect("a damaged thread list must be rejected");
-            assert!(
-                matches!(err, LoadError::Malformed(_) | LoadError::Truncated),
-                "{value} at {offset}: {err:?}"
-            );
+                .expect("impossible dims must be rejected");
+            assert!(matches!(err, LoadError::Malformed(_)), "{dims:?}: {err:?}");
         }
-        // The tail warp (id 1, lanes from thread 32, 16 wide) claiming
-        // the padded lanes.
-        let mut tail = Vec::new();
-        for v in [1u32, 32, 16] {
-            put_u32(&mut tail, v);
-        }
-        let at = bytes.windows(tail.len()).position(|w| w == tail).expect("tail warp");
-        let mut bad = bytes.clone();
-        bad[at + 8..at + 12].copy_from_slice(&32u32.to_le_bytes());
-        let err = Recording::deserialize(&bad, 1, &config, &protected)
-            .err()
-            .expect("a widened tail warp must be rejected");
-        assert!(matches!(err, LoadError::Malformed(_)), "{err:?}");
         assert!(Recording::deserialize(&bytes, 1, &config, &protected).is_ok());
     }
 

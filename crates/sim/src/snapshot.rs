@@ -10,8 +10,9 @@
 //! scheduled before the victim's wave is untouched entirely. This
 //! module records one fault-free run per (workload, scheme) pair —
 //! capturing wave states at region-entry boundaries, per-wave
-//! stats/memory marks, and a per-thread register access trace — and
-//! then answers each site from the cheapest sufficient evidence.
+//! stats/memory marks, and each warp's instruction stream, from which
+//! it derives the warp's register access index (`WarpTrace::build`) —
+//! and then answers each site from the cheapest sufficient evidence.
 //!
 //! A site is one flip plan in one cell: every injection names the same
 //! (block, warp, lane, register, trigger) and differs only in the bit
@@ -85,12 +86,13 @@ use penny_ir::RegionId;
 
 use crate::config::{GpuConfig, RfProtection};
 use crate::engine::{
-    check_launch, wave_plan, LaunchConfig, RunStats, SmEngine, TraceEvent, WaveState,
-    WaveTrace,
+    check_launch, lanes, warp_width, wave_plan, LaunchConfig, RunStats, SmEngine,
+    TraceEvent, WaveState, WaveTrace,
 };
 use crate::fault::{FaultPlan, Injection};
 use crate::memory::GlobalMemory;
-use crate::program::{DKind, DSrc, Program, NO_REG};
+use crate::program::{DKind, DSrc, DecodedInst, Program, NO_REG};
+use crate::regfile::WARP_LANES;
 use crate::SimError;
 
 /// Per-wave snapshot cap; when a wave crosses more region boundaries
@@ -150,48 +152,90 @@ pub struct SiteRun {
     pub pages_copied: u64,
 }
 
-/// One access of a (lane, register) cell in a warp's dynamic stream.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Access {
+/// One access of a (lane, register) cell in a warp's dynamic stream:
+/// the dynamic instruction index within the warp, shifted left by one,
+/// with a set low bit for a read. A read-and-write instruction has the
+/// read first, matching engine phase order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Access(u64);
+
+impl Access {
+    pub(crate) fn new(idx: u64, read: bool) -> Access {
+        Access(idx << 1 | u64::from(read))
+    }
+
     /// Dynamic instruction index within the warp.
-    pub(crate) idx: u64,
-    /// Read (`true`) or write; a read-and-write instruction records
-    /// the read first, matching engine phase order.
-    pub(crate) read: bool,
+    pub(crate) fn idx(self) -> u64 {
+        self.0 >> 1
+    }
+
+    /// Read (`true`) or write.
+    pub(crate) fn read(self) -> bool {
+        self.0 & 1 == 1
+    }
 }
 
-/// The per-warp register access trace of one recording.
+/// One warp's recorded instruction stream: the program counter, flow
+/// mask (pre-guard) and active mask (lanes whose guard held) of each
+/// dynamic warp instruction, indexed by the warp-local dynamic
+/// instruction index. Region markers are fast-forwarded by the engine
+/// and never appear here.
+#[derive(Debug, Default)]
+pub(crate) struct Stream {
+    pub(crate) pcs: Vec<u32>,
+    pub(crate) masks: Vec<u32>,
+    pub(crate) actives: Vec<u32>,
+}
+
+/// Calls `f(lanes, reg, read)` for each register operand of `d` issued
+/// under flow mask `mask` with active lanes `active`, in engine phase
+/// order: the guard or branch predicate is read in every lane of the
+/// flow, register sources are read and the destination written in the
+/// active lanes only.
+fn operands(d: &DecodedInst, mask: u32, active: u32, mut f: impl FnMut(u32, u32, bool)) {
+    match d.kind {
+        DKind::Branch { pred, .. } => f(mask, pred, true),
+        DKind::Ret | DKind::Jump { .. } => {}
+        _ => {
+            if d.guard != NO_REG {
+                f(mask, d.guard, true);
+            }
+            for &s in &d.srcs[..d.nsrcs as usize] {
+                if let DSrc::Reg(r) = s {
+                    f(active, r, true);
+                }
+            }
+            if d.dst != NO_REG {
+                f(active, d.dst, false);
+            }
+        }
+    }
+}
+
+/// One warp's trace: its instruction stream plus the register access
+/// index derived from it.
 ///
-/// Cells are stored in CSR form — one flat access array plus per-cell
-/// offsets — rather than a `Vec` per cell: a trace has `32 * num_regs`
-/// cells and nearly all of them are populated, so per-cell vectors cost
-/// thousands of small allocations every time a recording is rebuilt
-/// (the persisted-recording load path in particular). Incremental
-/// building during the trace itself goes through [`TraceBuilder`].
+/// The index is in CSR form — one flat access array plus per-cell
+/// offsets, cell `reg * 32 + lane` — built by [`WarpTrace::build`], the
+/// one place accesses are derived for a fresh recording and a loaded one
+/// alike.
 #[derive(Debug)]
 pub(crate) struct WarpTrace {
-    /// Cell boundaries: cell `i` (flattened `lane * num_regs + reg`)
-    /// spans `flat[offsets[i]..offsets[i + 1]]`. Length is the cell
-    /// count plus one.
+    /// Cell boundaries: cell `i` spans `flat[offsets[i]..offsets[i + 1]]`.
+    /// Length is the cell count plus one.
     offsets: Vec<u32>,
     /// Every cell's accesses, concatenated in cell order; within a
     /// cell, sorted by dynamic instruction index.
     flat: Vec<Access>,
-    /// The warp's final dynamic instruction count.
-    pub(crate) final_executed: u64,
     /// Live lanes.
     pub(crate) width: u32,
-    /// Program counter of each dynamic instruction, indexed by the
-    /// warp-local dynamic instruction index. Region markers are
-    /// fast-forwarded by the engine and never appear here.
-    pub(crate) pcs: Vec<u32>,
-    /// Flow mask (pre-guard) of each dynamic instruction. A lane in
-    /// the mask at index `t` executes exactly the recorded CFG path
-    /// from `pcs[t]` onward, which is what lets a per-PC static fact
-    /// be attributed to a fault site at trigger `t`.
-    pub(crate) masks: Vec<u32>,
-    /// The warp's region entries, in stream order (derived from `pcs`;
-    /// see [`region_entries`]).
+    /// The instruction stream. A lane in the flow mask at index `t`
+    /// executes exactly the recorded CFG path from `pcs[t]` onward,
+    /// which is what lets a per-PC static fact be attributed to a fault
+    /// site at trigger `t`.
+    pub(crate) stream: Stream,
+    /// The warp's region entries, in stream order (derived from the
+    /// PCs; see [`region_entries`]).
     pub(crate) entries: Vec<RegionEntry>,
 }
 
@@ -214,77 +258,76 @@ fn region_entries(program: &Program, pcs: &[u32]) -> Vec<RegionEntry> {
 }
 
 impl WarpTrace {
-    /// Builds a trace of `program` from CSR parts; `offsets` must be
-    /// monotone with `offsets[0] == 0` and final entry `flat.len()`
-    /// (callers: the trace builder and the recording deserializer, both
-    /// of which construct exactly that).
-    pub(crate) fn from_csr(
-        offsets: Vec<u32>,
-        flat: Vec<Access>,
-        final_executed: u64,
-        width: u32,
-        pcs: Vec<u32>,
-        masks: Vec<u32>,
+    /// Builds a `width`-lane warp's trace from its instruction stream
+    /// over `program`'s `num_regs` registers, in two passes over the
+    /// stream: the first counts each cell's accesses, the second places
+    /// them. Registers at or past `num_regs` are not traced.
+    ///
+    /// # Panics
+    ///
+    /// If a PC names no instruction of `program` or the stream's vectors
+    /// differ in length; the loader checks both first.
+    pub(crate) fn build(
         program: &Program,
+        num_regs: usize,
+        width: u32,
+        stream: Stream,
     ) -> WarpTrace {
-        debug_assert_eq!(offsets.first(), Some(&0));
-        debug_assert_eq!(offsets.last().copied(), Some(flat.len() as u32));
-        let entries = region_entries(program, &pcs);
-        WarpTrace { offsets, flat, final_executed, width, pcs, masks, entries }
+        let Stream { pcs, masks, actives } = &stream;
+        assert!(masks.len() == pcs.len() && actives.len() == pcs.len(), "ragged stream");
+        let insts = || {
+            let ops = pcs.iter().map(|&pc| &program.decoded[pc as usize]);
+            ops.zip(masks).zip(actives).map(|((d, &m), &a)| (d, m, a))
+        };
+        let mut offsets = vec![0u32; num_regs * WARP_LANES + 1];
+        for (d, mask, active) in insts() {
+            operands(d, mask, active, |lanes_of, reg, _| {
+                if (reg as usize) < num_regs {
+                    let row = reg as usize * WARP_LANES + 1;
+                    let counts = &mut offsets[row..row + WARP_LANES];
+                    for (lane, n) in counts.iter_mut().enumerate() {
+                        *n += (lanes_of >> lane) & 1;
+                    }
+                }
+            });
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut next = offsets[..offsets.len() - 1].to_vec();
+        let mut flat = vec![Access(0); offsets[offsets.len() - 1] as usize];
+        for (t, (d, mask, active)) in insts().enumerate() {
+            operands(d, mask, active, |lanes_of, reg, read| {
+                if (reg as usize) < num_regs {
+                    for lane in lanes(lanes_of) {
+                        let at = &mut next[reg as usize * WARP_LANES + lane];
+                        flat[*at as usize] = Access::new(t as u64, read);
+                        *at += 1;
+                    }
+                }
+            });
+        }
+        let entries = region_entries(program, pcs);
+        WarpTrace { offsets, flat, width, stream, entries }
     }
 
-    /// Number of `(lane, reg)` cells.
-    pub(crate) fn num_cells(&self) -> usize {
-        self.offsets.len() - 1
+    /// The warp's final dynamic instruction count.
+    pub(crate) fn len(&self) -> u64 {
+        self.stream.pcs.len() as u64
     }
 
-    /// Cell `i`'s accesses, sorted by dynamic instruction index.
-    pub(crate) fn cell(&self, i: usize) -> &[Access] {
+    /// Cell (`lane`, `reg`)'s accesses, sorted by dynamic instruction
+    /// index; the caller keeps `lane < 32` and `reg` in range.
+    pub(crate) fn cell(&self, lane: u32, reg: u32) -> &[Access] {
+        let i = reg as usize * WARP_LANES + lane as usize;
         &self.flat[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
-}
 
-/// Accumulates one warp's trace during recording (per-cell vectors for
-/// cheap incremental pushes), then [`TraceBuilder::finish`]es into the
-/// compact CSR [`WarpTrace`].
-#[derive(Debug)]
-struct TraceBuilder {
-    cells: Vec<Vec<Access>>,
-    final_executed: u64,
-    width: u32,
-    pcs: Vec<u32>,
-    masks: Vec<u32>,
-}
-
-impl TraceBuilder {
-    fn new(num_cells: usize, width: u32) -> TraceBuilder {
-        TraceBuilder {
-            cells: vec![Vec::new(); num_cells],
-            final_executed: 0,
-            width,
-            pcs: Vec::new(),
-            masks: Vec::new(),
-        }
-    }
-
-    fn finish(self, program: &Program) -> WarpTrace {
-        let total: usize = self.cells.iter().map(Vec::len).sum();
-        let mut offsets = Vec::with_capacity(self.cells.len() + 1);
-        let mut flat = Vec::with_capacity(total);
-        offsets.push(0);
-        for cell in &self.cells {
-            flat.extend_from_slice(cell);
-            offsets.push(flat.len() as u32);
-        }
-        WarpTrace::from_csr(
-            offsets,
-            flat,
-            self.final_executed,
-            self.width,
-            self.pcs,
-            self.masks,
-            program,
-        )
+    /// The first access of cell (`lane`, `reg`) at or after dynamic
+    /// index `from`.
+    fn first_from(&self, lane: u32, reg: u32, from: u64) -> Option<Access> {
+        let cell = self.cell(lane, reg);
+        cell.get(cell.partition_point(|a| a.idx() < from)).copied()
     }
 }
 
@@ -294,9 +337,6 @@ pub(crate) struct Snap {
     pub(crate) state: WaveState,
     pub(crate) global: GlobalMemory,
     pub(crate) stats: RunStats,
-    /// Executed count per resident warp (block-major), for victim
-    /// validity checks.
-    pub(crate) executed: Vec<u64>,
 }
 
 /// One wave of the recorded serial schedule, with enough marks to fork
@@ -342,7 +382,8 @@ pub struct WarpStream<'a> {
     pub entries: &'a [RegionEntry],
 }
 
-/// Counters describing a recording (for observability spans).
+/// Counters describing a recording (for observability spans), read off
+/// the recording itself.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RecordingCounters {
     /// Region-boundary snapshots retained.
@@ -362,14 +403,13 @@ pub struct Recording {
     pub(crate) waves: Vec<WaveRec>,
     /// Linear block index -> position in `waves`.
     pub(crate) block_wave: Vec<usize>,
-    /// Every warp's access trace, indexed densely by
+    /// Every warp's trace, indexed densely by
     /// `block * warps_per_block + warp` (see [`Recording::trace`]).
     pub(crate) traces: Vec<WarpTrace>,
     pub(crate) num_regs: usize,
     pub(crate) warps_per_block: u32,
     pub(crate) final_stats: RunStats,
     pub(crate) final_global: GlobalMemory,
-    pub(crate) counters: RecordingCounters,
     /// The registers Penny's recovery rewrites on a rollback into each
     /// region (the region's live-in restores plus the setup registers),
     /// indexed by region id; see [`restored_sets`].
@@ -446,109 +486,38 @@ impl WaveTrace for Retrace<'_> {
     }
 }
 
-/// The wave recorder: captures snapshots on region crossings and
-/// accumulates the register access trace.
+/// The wave recorder: captures snapshots on region crossings and keeps
+/// each warp's instruction stream.
 struct WaveRecorder<'p> {
-    program: &'p Program,
-    num_regs: usize,
     warps_per_block: usize,
     /// Linear block indices of this wave.
-    blocks: Vec<u32>,
-    /// Trace builders indexed like [`Recording::traces`]; a warp's slot
-    /// is filled on the first cycle of its wave.
-    traces: &'p mut [Option<TraceBuilder>],
+    blocks: &'p [u32],
+    /// Instruction streams indexed like [`Recording::traces`].
+    streams: &'p mut [Stream],
     snaps: Vec<Snap>,
     /// Last observed `(snapshot.executed)` per resident warp, to
     /// detect new region entries.
     last_entry: Vec<u64>,
-    started: bool,
     min_gap: u64,
     last_capture: u64,
 }
 
-impl<'p> WaveRecorder<'p> {
-    fn new(
-        program: &'p Program,
-        blocks: &[u32],
-        num_regs: usize,
-        warps_per_block: usize,
-        traces: &'p mut [Option<TraceBuilder>],
-    ) -> WaveRecorder<'p> {
-        WaveRecorder {
-            program,
-            num_regs,
-            warps_per_block,
-            blocks: blocks.to_vec(),
-            traces,
-            snaps: Vec::new(),
-            last_entry: Vec::new(),
-            started: false,
-            min_gap: 1,
-            last_capture: 0,
-        }
-    }
-
-    /// The index of wave block `bi`'s warp `wi` in `traces`.
-    fn slot(&self, bi: usize, wi: usize) -> usize {
-        self.blocks[bi] as usize * self.warps_per_block + wi
-    }
-
-    /// The builder of wave block `bi`'s warp `wi`.
-    fn builder(&mut self, bi: usize, wi: usize) -> &mut TraceBuilder {
-        let slot = self.slot(bi, wi);
-        self.traces[slot].as_mut().expect("warp trace registered")
-    }
-
-    fn push_access(
-        &mut self,
-        bi: usize,
-        wi: usize,
-        lanes: u32,
-        reg: u32,
-        ev_idx: u64,
-        read: bool,
-    ) {
-        if reg == NO_REG || reg as usize >= self.num_regs {
-            return;
-        }
-        let num_regs = self.num_regs;
-        let tr = self.builder(bi, wi);
-        let mut m = lanes;
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            m &= m - 1;
-            tr.cells[lane * num_regs + reg as usize].push(Access { idx: ev_idx, read });
-        }
-    }
-}
-
 impl WaveTrace for WaveRecorder<'_> {
     fn at_cycle(&mut self, eng: &SmEngine<'_>, stats: &RunStats) {
-        if !self.started {
-            // First cycle: register every resident warp's trace slot.
-            self.started = true;
-            for (bi, b) in eng.blocks().iter().enumerate() {
-                for w in &b.warps {
-                    let slot = self.slot(bi, w.id as usize);
-                    self.traces[slot] =
-                        Some(TraceBuilder::new(32 * self.num_regs, w.width));
-                    self.last_entry.push(u64::MAX);
-                }
-            }
+        let warps = eng.blocks().iter().flat_map(|b| &b.warps);
+        if self.last_entry.is_empty() {
+            // First cycle: no warp has entered a region yet.
+            self.last_entry = warps.map(|_| u64::MAX).collect();
             return;
         }
         // Detect a region-entry since the previous cycle: some warp's
         // region snapshot advanced.
         let mut entered = false;
-        let mut flat = 0usize;
-        for b in eng.blocks() {
-            for w in &b.warps {
-                let cur = w.snapshot.as_ref().map_or(u64::MAX, |s| s.executed);
-                if cur != self.last_entry[flat] {
-                    self.last_entry[flat] = cur;
-                    entered |= w.snapshot.is_some();
-                }
-                flat += 1;
+        for (w, last) in warps.zip(&mut self.last_entry) {
+            let cur = w.snapshot.as_ref().map_or(u64::MAX, |s| s.executed);
+            if cur != *last {
+                *last = cur;
+                entered |= w.snapshot.is_some();
             }
         }
         if !entered {
@@ -561,14 +530,7 @@ impl WaveTrace for WaveRecorder<'_> {
             return;
         }
         self.last_capture = state.cycle;
-        let executed =
-            eng.blocks().iter().flat_map(|b| b.warps.iter().map(|w| w.executed)).collect();
-        self.snaps.push(Snap {
-            state,
-            global: eng.global().fork(),
-            stats: *stats,
-            executed,
-        });
+        self.snaps.push(Snap { state, global: eng.global().fork(), stats: *stats });
         if self.snaps.len() > MAX_SNAPS_PER_WAVE {
             // Thin: keep every other snapshot, double the capture gap.
             let mut i = 0usize;
@@ -581,32 +543,12 @@ impl WaveTrace for WaveRecorder<'_> {
     }
 
     fn on_inst(&mut self, ev: TraceEvent) {
-        let (bi, wi) = (ev.bi, ev.wi);
-        let tr = self.builder(bi, wi);
-        tr.final_executed = ev.executed + 1;
-        debug_assert_eq!(tr.pcs.len() as u64, ev.executed, "per-warp event order");
-        tr.pcs.push(ev.pc as u32);
-        tr.masks.push(ev.mask);
-        let d = self.program.decoded[ev.pc];
-        match d.kind {
-            DKind::Branch { pred, .. } => {
-                self.push_access(bi, wi, ev.mask, pred, ev.executed, true);
-            }
-            DKind::Ret | DKind::Jump { .. } => {}
-            _ => {
-                if d.guard != NO_REG {
-                    self.push_access(bi, wi, ev.mask, d.guard, ev.executed, true);
-                }
-                for &s in &d.srcs[..d.nsrcs as usize] {
-                    if let DSrc::Reg(r) = s {
-                        self.push_access(bi, wi, ev.active, r, ev.executed, true);
-                    }
-                }
-                if d.dst != NO_REG {
-                    self.push_access(bi, wi, ev.active, d.dst, ev.executed, false);
-                }
-            }
-        }
+        let slot = self.blocks[ev.bi] as usize * self.warps_per_block + ev.wi;
+        let s = &mut self.streams[slot];
+        debug_assert_eq!(s.pcs.len() as u64, ev.executed, "per-warp event order");
+        s.pcs.push(ev.pc as u32);
+        s.masks.push(ev.mask);
+        s.actives.push(ev.active);
     }
 }
 
@@ -673,21 +615,16 @@ pub fn observed_region_entries(
     Ok(entries)
 }
 
-/// The block -> wave index of a wave list, indexed by linear block
-/// index. `Err` names a block that is out of range (the scheduled blocks
-/// are not exactly `0..n`) or scheduled in two waves.
-pub(crate) fn block_waves(waves: &[WaveRec]) -> Result<Vec<usize>, u32> {
-    let scheduled = waves.iter().map(|w| w.blocks.len()).sum();
-    let mut index = vec![usize::MAX; scheduled];
+/// The block -> wave index of a wave list that schedules each block of
+/// `0..n` once (as [`wave_plan`] does), indexed by linear block index.
+fn block_waves(waves: &[WaveRec]) -> Vec<usize> {
+    let mut index = vec![0; waves.iter().map(|w| w.blocks.len()).sum()];
     for (k, w) in waves.iter().enumerate() {
         for &b in &w.blocks {
-            match index.get_mut(b as usize) {
-                Some(slot) if *slot == usize::MAX => *slot = k,
-                _ => return Err(b),
-            }
+            index[b as usize] = k;
         }
     }
-    Ok(index)
+    index
 }
 
 /// Fieldwise `base + plus - minus` over every additive counter
@@ -738,77 +675,106 @@ impl Recording {
         }
         check_launch(protected, launch)?;
         let program = Program::new(&protected.kernel);
-        let plan = wave_plan(config, protected, launch, &program);
-        let num_regs = program.num_regs.max(1);
         let warps_per_block = launch.dims.threads_per_block().div_ceil(32);
+        let mut streams: Vec<Stream> = Vec::new();
+        streams.resize_with(
+            launch.dims.blocks() as usize * warps_per_block as usize,
+            Stream::default,
+        );
         let mut g = global.fork();
         let mut stats = RunStats::default();
         let mut waves = Vec::new();
-        let mut builders: Vec<Option<TraceBuilder>> = Vec::new();
-        builders
-            .resize_with(launch.dims.blocks() as usize * warps_per_block as usize, || None);
-        let mut sm_cycles = vec![0u64; config.num_sms as usize];
-        for slot in &plan {
-            let stats_before = stats;
+        for slot in wave_plan(config, protected, launch, &program) {
             let global_start = g.fork();
-            let mut rec = WaveRecorder::new(
-                &program,
-                &slot.blocks,
-                num_regs,
-                warps_per_block as usize,
-                &mut builders,
-            );
-            let cycles = {
-                let mut eng = SmEngine::for_wave(
-                    config,
-                    protected,
-                    launch,
-                    &program,
-                    &mut g,
-                    &slot.blocks,
-                    Some(&mut rec),
-                );
-                eng.run_wave(&mut stats)?
+            let mut rec = WaveRecorder {
+                warps_per_block: warps_per_block as usize,
+                blocks: &slot.blocks,
+                streams: &mut streams,
+                snaps: Vec::new(),
+                last_entry: Vec::new(),
+                min_gap: 1,
+                last_capture: 0,
             };
-            sm_cycles[slot.sm] += cycles;
+            let stats_before = stats;
+            let cycles = SmEngine::for_wave(
+                config,
+                protected,
+                launch,
+                &program,
+                &mut g,
+                &slot.blocks,
+                Some(&mut rec),
+            )
+            .run_wave(&mut stats)?;
+            let snaps = rec.snaps;
             waves.push(WaveRec {
                 sm: slot.sm,
-                blocks: slot.blocks.clone(),
+                blocks: slot.blocks,
                 stats_before,
                 stats_after: stats,
                 cycles,
                 global_start,
                 global_end: g.fork(),
-                snaps: rec.snaps,
+                snaps,
             });
         }
-        let block_wave =
-            block_waves(&waves).expect("the wave plan schedules each block once");
-        let traces = builders
-            .into_iter()
-            .map(|b| b.expect("every scheduled warp is traced").finish(&program))
-            .collect();
-        let mut final_stats = stats;
-        final_stats.cycles = sm_cycles.iter().copied().max().unwrap_or(0);
-        let counters = RecordingCounters {
-            snapshots: waves.iter().map(|w| w.snaps.len() as u64).sum(),
-            total_warp_insts: final_stats.warp_instructions,
-        };
-        Ok(Recording {
-            protection: config.rf,
-            num_sms: config.num_sms as usize,
-            launch: launch.clone(),
+        Ok(Recording::assemble(
+            config,
+            protected,
+            launch.clone(),
             program,
             waves,
-            block_wave,
+            streams,
+            g,
+        ))
+    }
+
+    /// A recording of `waves` (the wave plan's waves, in order) whose
+    /// warps ran `streams` and left `final_global`: derives the
+    /// block -> wave index, each warp's trace, the final statistics and
+    /// the restored-register sets. [`Recording::record`] and
+    /// [`Recording::deserialize`] both end here.
+    pub(crate) fn assemble(
+        config: &GpuConfig,
+        protected: &Protected,
+        launch: LaunchConfig,
+        program: Program,
+        waves: Vec<WaveRec>,
+        streams: Vec<Stream>,
+        final_global: GlobalMemory,
+    ) -> Recording {
+        let num_regs = program.num_regs.max(1);
+        let tpb = launch.dims.threads_per_block();
+        let warps_per_block = tpb.div_ceil(32);
+        let traces = streams
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let width = warp_width(tpb, i as u32 % warps_per_block);
+                WarpTrace::build(&program, num_regs, width, s)
+            })
+            .collect();
+        let mut sm_cycles = vec![0u64; config.num_sms as usize];
+        for w in &waves {
+            sm_cycles[w.sm] += w.cycles;
+        }
+        let mut final_stats =
+            waves.last().map_or_else(RunStats::default, |w| w.stats_after);
+        final_stats.cycles = sm_cycles.iter().copied().max().unwrap_or(0);
+        Recording {
+            protection: config.rf,
+            num_sms: config.num_sms as usize,
+            launch,
+            program,
+            block_wave: block_waves(&waves),
+            waves,
             traces,
             num_regs,
             warps_per_block,
             final_stats,
-            final_global: g,
-            counters,
+            final_global,
             restored: restored_sets(config.rf, protected, num_regs),
-        })
+        }
     }
 
     /// The fault-free run's statistics.
@@ -829,7 +795,10 @@ impl Recording {
     /// Recording-level counters (snapshots retained, total warp
     /// instructions).
     pub fn counters(&self) -> RecordingCounters {
-        self.counters
+        RecordingCounters {
+            snapshots: self.waves.iter().map(|w| w.snaps.len() as u64).sum(),
+            total_warp_insts: self.final_stats.warp_instructions,
+        }
     }
 
     /// Warp `warp` of block `block`'s access trace: one bounds-checked
@@ -850,20 +819,15 @@ impl Recording {
             return (SiteClass::NeverFires, None);
         };
         let t = inj.after_warp_insts;
-        if inj.lane >= tr.width
-            || t >= tr.final_executed
-            || inj.reg as usize >= self.num_regs
-        {
+        if inj.lane >= tr.width || t >= tr.len() || inj.reg as usize >= self.num_regs {
             return (SiteClass::NeverFires, None);
         }
-        let cell = tr.cell(inj.lane as usize * self.num_regs + inj.reg as usize);
-        let pos = cell.partition_point(|a| a.idx < t);
-        match cell.get(pos) {
+        match tr.first_from(inj.lane, inj.reg, t) {
             None => (SiteClass::Invisible, None),
-            Some(a) if !a.read => (SiteClass::Invisible, None),
+            Some(a) if !a.read() => (SiteClass::Invisible, None),
             Some(a) => match self.protection {
-                RfProtection::Ecc(_) => (SiteClass::CorrectedInline, Some(a.idx)),
-                _ => (SiteClass::Simulated, Some(a.idx)),
+                RfProtection::Ecc(_) => (SiteClass::CorrectedInline, Some(a.idx())),
+                _ => (SiteClass::Simulated, Some(a.idx())),
             },
         }
     }
@@ -883,14 +847,11 @@ impl Recording {
     pub fn static_point(&self, inj: &Injection) -> Option<usize> {
         let tr = self.trace(inj.block, inj.warp)?;
         let t = inj.after_warp_insts;
-        if inj.lane >= tr.width
-            || t >= tr.final_executed
-            || inj.reg as usize >= self.num_regs
-        {
+        if inj.lane >= tr.width || t >= tr.len() || inj.reg as usize >= self.num_regs {
             return None;
         }
         let idx = t as usize;
-        ((tr.masks[idx] >> inj.lane) & 1 == 1).then(|| tr.pcs[idx] as usize)
+        ((tr.stream.masks[idx] >> inj.lane) & 1 == 1).then(|| tr.stream.pcs[idx] as usize)
     }
 
     /// The victim cell's first recorded access at or after dynamic
@@ -909,9 +870,7 @@ impl Recording {
         if lane >= tr.width || reg as usize >= self.num_regs {
             return None;
         }
-        let cell = tr.cell(lane as usize * self.num_regs + reg as usize);
-        let pos = cell.partition_point(|a| a.idx < from);
-        cell.get(pos).map(|a| (a.idx, a.read))
+        tr.first_from(lane, reg, from).map(|a| (a.idx(), a.read()))
     }
 
     /// Iterates the recorded per-warp dynamic streams (PC and flow
@@ -923,8 +882,8 @@ impl Recording {
             block: (i / self.warps_per_block as usize) as u32,
             warp: (i % self.warps_per_block as usize) as u32,
             width: tr.width,
-            pcs: &tr.pcs,
-            masks: &tr.masks,
+            pcs: &tr.stream.pcs,
+            masks: &tr.stream.masks,
             entries: &tr.entries,
         })
     }
@@ -994,10 +953,8 @@ impl Recording {
         if restored == Some(&true) {
             return Some(entry.executed);
         }
-        let cell = tr.cell(lane as usize * self.num_regs + reg as usize);
-        let pos = cell.partition_point(|a| a.idx < entry.executed);
-        match cell.get(pos) {
-            Some(a) if !a.read => Some(a.idx + 1),
+        match tr.first_from(lane, reg, entry.executed) {
+            Some(a) if !a.read() => Some(a.idx() + 1),
             _ => None,
         }
     }
@@ -1006,44 +963,30 @@ impl Recording {
     /// rollback at `detect` must retrace to mend every cell the read
     /// there can catch under this recovery point — a superset of any
     /// one group's members, so the check never depends on sampling.
-    /// The candidates are the registers the recorded instruction reads,
-    /// in the lanes of its flow mask; `u64::MAX` (nothing can be
-    /// retraced) when the recorded PC names no instruction.
+    /// The candidates are the cells the recorded instruction reads
+    /// ([`operands`]); `u64::MAX` (nothing can be retraced) when the
+    /// recorded PC names no instruction.
     fn retrace_until(&self, tr: &WarpTrace, entry: RegionEntry, detect: u64) -> u64 {
         let t = detect as usize;
-        let (Some(&pc), Some(&mask)) = (tr.pcs.get(t), tr.masks.get(t)) else {
+        let s = &tr.stream;
+        let (Some(&pc), Some(&mask), Some(&active)) =
+            (s.pcs.get(t), s.masks.get(t), s.actives.get(t))
+        else {
             return u64::MAX;
         };
         let Some(d) = self.program.decoded.get(pc as usize) else {
             return u64::MAX;
         };
-        let guard = match d.kind {
-            DKind::Branch { pred, .. } => pred,
-            _ => d.guard,
-        };
-        let srcs = d.srcs[..d.nsrcs as usize].iter().filter_map(|s| match *s {
-            DSrc::Reg(r) => Some(r),
-            _ => None,
-        });
         let mut until = entry.executed;
-        for reg in std::iter::once(guard).chain(srcs) {
-            if reg as usize >= self.num_regs {
-                continue;
-            }
-            let mut lanes = mask;
-            while lanes != 0 {
-                let lane = lanes.trailing_zeros();
-                lanes &= lanes - 1;
-                let cell = tr.cell(lane as usize * self.num_regs + reg as usize);
-                let pos = cell.partition_point(|a| a.idx < detect);
-                if !matches!(cell.get(pos), Some(a) if a.idx == detect && a.read) {
-                    continue;
-                }
-                if let Some(u) = self.mended_until(tr, entry, lane, reg) {
-                    until = until.max(u);
+        operands(d, mask, active, |lanes_of, reg, read| {
+            if read && (reg as usize) < self.num_regs {
+                for lane in lanes(lanes_of) {
+                    if let Some(u) = self.mended_until(tr, entry, lane as u32, reg) {
+                        until = until.max(u);
+                    }
                 }
             }
-        }
+        });
         until
     }
 
@@ -1077,7 +1020,8 @@ impl Recording {
         };
         let tr = self.trace(rep.block, rep.warp).expect("a recovery point has a trace");
         let span = entry.executed as usize..self.retrace_until(tr, entry, detect) as usize;
-        let (Some(pcs), Some(masks)) = (tr.pcs.get(span.clone()), tr.masks.get(span))
+        let (Some(pcs), Some(masks)) =
+            (tr.stream.pcs.get(span.clone()), tr.stream.masks.get(span))
         else {
             return (self.run_plan(config, protected, &plan), false);
         };
@@ -1209,13 +1153,13 @@ impl Recording {
             .iter()
             .position(|&b| b == site.block)
             .expect("victim block resident in its wave");
-        let flat = vb * self.warps_per_block as usize + site.warp as usize;
         let launch = self.launch.clone().with_faults(plan.clone());
         // Latest snapshot whose victim-warp progress has not passed the
         // first read: the flip is unobserved between the trigger and
         // that read, so applying it at resume time is equivalent to
         // applying it at the trigger.
-        let snap = wave.snaps.iter().rev().find(|s| s.executed[flat] <= first_read);
+        let executed = |s: &&Snap| s.state.blocks[vb].warps[site.warp as usize].executed;
+        let snap = wave.snaps.iter().rev().find(|s| executed(s) <= first_read);
         let (mut stats, mut global, fork_cycle) = match snap {
             Some(s) => (s.stats, s.global.fork(), s.state.cycle),
             None => (wave.stats_before, wave.global_start.fork(), 0),
@@ -1313,10 +1257,13 @@ impl Recording {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use penny_coding::Scheme;
     use penny_core::{compile, LaunchDims, PennyConfig};
 
     use super::*;
+    use crate::gen::{try_compile, KernelSpec};
 
     const KERNEL: &str = r#"
         .kernel work .params A B
@@ -1337,6 +1284,119 @@ mod tests {
             ret
     "#;
 
+    /// A kernel with two guarded updates and a data-dependent divergent
+    /// branch, for 48-thread blocks (the tail warp is 16 lanes wide).
+    const GUARDED: &str = r#"
+        .kernel guarded .params A
+        entry:
+            mov.u32 %r0, %tid.x
+            ld.param.u32 %r1, [A]
+            shl.u32 %r2, %r0, 2
+            add.u32 %r3, %r1, %r2
+            ld.global.u32 %r4, [%r3]
+            and.u32 %r5, %r0, 1
+            setp.eq.u32 %p0, %r5, 1
+            @%p0 add.u32 %r4, %r4, 7
+            @!%p0 mul.u32 %r4, %r4, %r4
+            setp.lt.u32 %p1, %r4, 100
+            bra %p1, small, big
+        small:
+            add.u32 %r4, %r4, %r0
+            jmp done
+        big:
+            sub.u32 %r4, %r4, 1
+            jmp done
+        done:
+            st.global.u32 [%r3], %r4
+            ret
+    "#;
+
+    /// Asserts that every warp's derived access index holds exactly the
+    /// accesses the engine's reference interpreter made, cell by cell and
+    /// in order; returns how many there were.
+    fn assert_index_is_observed(
+        config: &GpuConfig,
+        protected: &Protected,
+        launch: &LaunchConfig,
+        global: &GlobalMemory,
+    ) -> usize {
+        let rec = Recording::record(config, protected, launch, global).expect("record");
+        let observed =
+            crate::engine::access_log::observed(config, protected, launch, global)
+                .expect("reference run");
+        let mut cells: HashMap<_, Vec<Access>> = HashMap::new();
+        for o in &observed {
+            let access = Access::new(o.idx, o.read);
+            cells.entry((o.block, o.warp, o.lane, o.reg)).or_default().push(access);
+        }
+        let wpb = rec.warps_per_block;
+        for (i, tr) in rec.traces.iter().enumerate() {
+            let (block, warp) = (i as u32 / wpb, i as u32 % wpb);
+            for (lane, reg) in
+                (0..32).flat_map(|l| (0..rec.num_regs as u32).map(move |r| (l, r)))
+            {
+                let want = cells.remove(&(block, warp, lane, reg)).unwrap_or_default();
+                assert_eq!(
+                    tr.cell(lane, reg),
+                    want,
+                    "block {block} warp {warp} cell {lane}/{reg}"
+                );
+            }
+        }
+        assert!(cells.is_empty(), "accesses the index lacks: {:?}", cells.keys().next());
+        observed.len()
+    }
+
+    /// The access index a recording derives from its instruction streams
+    /// is the engine's: on a guarded, divergent kernel and the snapshot
+    /// test kernel at 48 threads per block, a 48-thread generated kernel
+    /// and generated kernels at their own dims, compiled for parity EDC
+    /// (Penny), SECDED ECC (iGPU) and an unprotected RF.
+    #[test]
+    fn derived_access_index_is_the_engines_accesses() {
+        let mut cases = Vec::new();
+        for (text, params) in
+            [(GUARDED, vec![0x1_0000]), (KERNEL, vec![0x1_0000, 0x2_0000])]
+        {
+            let mut global = GlobalMemory::new();
+            global.write_slice(
+                0x1_0000,
+                &(0..96).map(|i: u32| i * 37 % 211).collect::<Vec<_>>(),
+            );
+            let kernel = penny_ir::parse_kernel(text).expect("parse");
+            cases.push((kernel, LaunchDims::linear(2, 48), params, global));
+        }
+        let specs = (0..24).map(KernelSpec::from_seed);
+        let dense = std::iter::once((KernelSpec::dense(vec![0, 5, 6, 3], true), true));
+        for (spec, partial) in dense.chain(specs.map(|s| (s, false))) {
+            let image = spec.image();
+            let mut global = GlobalMemory::new();
+            image.apply(&mut global);
+            let dims = if partial { LaunchDims::linear(2, 48) } else { spec.dims() };
+            cases.push((spec.build(), dims, image.params, global));
+        }
+        let schemes = [
+            (PennyConfig::penny(), RfProtection::Edc(Scheme::Parity)),
+            (PennyConfig::igpu(), RfProtection::Ecc(Scheme::Secded)),
+            (PennyConfig::unprotected(), RfProtection::None),
+        ];
+        let mut checked = [0usize; 3];
+        for (kernel, dims, params, global) in &cases {
+            for (k, (cfg, rf)) in schemes.iter().enumerate() {
+                let Some(protected) = try_compile(kernel, cfg.clone().with_launch(*dims))
+                else {
+                    continue;
+                };
+                let config = GpuConfig::fermi().with_rf(*rf);
+                let launch = LaunchConfig::new(*dims, params.clone());
+                let n = assert_index_is_observed(&config, &protected, &launch, global);
+                assert!(n > 0, "{} traced no access", kernel.name);
+                checked[k] += 1;
+            }
+        }
+        assert!(checked.iter().all(|&n| n >= 3), "too few kernels compiled: {checked:?}");
+    }
+
     /// `run_group` holds a recovery-point replay to the recorded stream:
     /// the replay of a group whose caught cells need a retrace passes
     /// against its own recording and fails against one whose stream
@@ -1352,7 +1412,7 @@ mod tests {
         let mut rec = Recording::record(&config, &protected, &launch, &GlobalMemory::new())
             .expect("record");
         let tr = rec.trace(0, 0).expect("warp 0");
-        let windowed = (1..tr.final_executed)
+        let windowed = (1..tr.len())
             .flat_map(|t| (0..rec.num_regs as u32).map(move |reg| (t, reg)))
             .find_map(|(t, reg)| {
                 let inj = Injection {
@@ -1372,7 +1432,7 @@ mod tests {
         let (inj, entry) = windowed.expect("a group that needs a retrace");
         let (run, held) = rec.run_group(&config, &protected, inj);
         assert!(run.is_ok() && held, "the faithful replay retraces the recording");
-        rec.traces[0].masks[entry.executed as usize] ^= 1;
+        rec.traces[0].stream.masks[entry.executed as usize] ^= 1;
         let (run, held) = rec.run_group(&config, &protected, inj);
         assert!(run.is_ok() && !held, "a replay off the recorded stream must not hold");
     }

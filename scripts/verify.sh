@@ -13,16 +13,19 @@
 #      pre-decoded micro-op + warp register-file row path vs the
 #      always-decode reference interpreter — bit-identical; the whole
 #      penny-sim suite runs here (register-file units, engine behavior,
-#      recovery, the pinned `PREC` recording bytes and their round
-#      trips, partial warps); plus the compile-cache service suite
-#      (racing misses compile once, batch / serial / hit / fresh
-#      artifacts fingerprint-identical);
+#      recovery, the snapshot-equivalence suite — forked sites
+#      bit-identical to from-scratch runs, memo twins within and across
+#      cells — generated-kernel resume determinism, the access index
+#      derived from each warp's instruction stream against the engine's
+#      own accesses, the pinned `PREC` recording bytes, their round
+#      trips and every bit flip and truncation of a stored recording,
+#      partial warps); plus the compile-cache service suite (racing
+#      misses compile once, batch / serial / hit / fresh artifacts
+#      fingerprint-identical);
 #   6. the fault-space conformance harness (small default budget):
 #      every covered (instruction × register × bit) site must recover
 #      to the fault-free final memory under each protected scheme,
 #      answered through the snapshot/replay engine; plus the
-#      snapshot-equivalence suite (forked sites bit-identical to
-#      from-scratch runs, memo twins within and across cells), the
 #      harness unit tests (every member of sampled recovery-point
 #      groups against its representative), the whole integration
 #      suite in release (shard-merge byte identity, the pinned
@@ -32,7 +35,9 @@
 #      20x, best of 3, written to BENCH_eval.json);
 #   6b. the penny-herd orchestration gate: the supervised-shard test
 #      suite (crash-injected retry, partial degradation, timeout
-#      kill), then a 4-shard local MT campaign that must merge
+#      kill) and the recording-store suite (a damaged stored recording
+#      is counted stale, recorded again and overwritten, with an
+#      unchanged report), then a 4-shard local MT campaign that must merge
 #      byte-identical to the unsharded run, then a warm re-run over
 #      the same recording store that must skip the record phase
 #      (recording-store span hits > 0 in every shard's obs stream);
@@ -69,8 +74,8 @@
 #      or under 35% of total pass time (best of three runs — wall
 #      times are noisy) via penny-prof --assert-share;
 #   9. the fuzz gate: the penny-fuzz unit/integration suites (shrinker
-#      properties, generated-kernel resume determinism, corpus replay
-#      as a test), a fixed-seed smoke run that must find zero
+#      properties, corpus replay as a test), a fixed-seed smoke run
+#      that must find zero
 #      divergences and produce byte-identical reports across two runs,
 #      and the banked-corpus replay gate (every committed kernel
 #      re-verified against its golden output).
@@ -104,9 +109,6 @@ cargo test --release -p penny-sim
 echo "==> determinism: compile-cache service (fingerprint identity)"
 cargo test --release -p penny-bench --test cache_service
 
-echo "==> conformance: snapshot-equivalence suite (forked == cold)"
-cargo test --release -p penny-sim --test snapshot_replay
-
 echo "==> conformance: fault-space recovery harness"
 cargo test -q -p penny-bench conformance
 
@@ -123,6 +125,9 @@ cargo run -q --release -p penny-bench --bin penny-eval -- \
 
 echo "==> herd: supervised-shard suite (retry, partial, timeout)"
 cargo test --release -p penny-bench --test herd
+
+echo "==> herd: a damaged stored recording is stale and recorded again"
+cargo test --release -p penny-bench --test recording_store
 
 echo "==> herd: 4-shard campaign == unsharded, warm store reuse"
 herd_dir="$(mktemp -d)"
@@ -210,7 +215,6 @@ fi
 
 echo "==> fuzz: unit + property + corpus-replay test suites"
 cargo test -q -p penny-fuzz
-cargo test --release -p penny-sim --test resume_determinism
 
 echo "==> fuzz: fixed-seed smoke (seed 1, 200 iters, deterministic)"
 smoke_a="$(cargo run -q --release -p penny-fuzz -- --seed 1 --iters 200)"
