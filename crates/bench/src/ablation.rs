@@ -12,8 +12,8 @@ use penny_core::PennyConfig;
 use penny_sim::GpuConfig;
 use penny_workloads::all;
 
-use crate::parallel::parallel_map;
-use crate::runner::{gmean, run_workload};
+use crate::figures::Plan;
+use crate::runner::gmean;
 
 /// One ablation row.
 #[derive(Debug, Clone)]
@@ -28,48 +28,55 @@ pub struct AblationRow {
     pub mean_committed: f64,
 }
 
-fn measure(label: &str, cfg: &PennyConfig) -> AblationRow {
-    let gpu = GpuConfig::fermi();
-    let ws = all();
-    let rows = parallel_map(&ws, |w| {
-        let base = crate::cache::baseline(w, &gpu).run.cycles as f64;
-        let m = run_workload(w, cfg, &gpu);
-        (m.run.cycles as f64 / base, m.compile.regions, m.compile.committed)
-    });
-    let mut overheads = Vec::new();
-    let mut regions = 0u32;
-    let mut committed = 0u32;
-    for (overhead, r, c) in rows {
-        overheads.push(overhead);
-        regions += r;
-        committed += c;
-    }
-    AblationRow {
-        label: label.into(),
-        gmean_overhead: gmean(&overheads),
-        mean_regions: regions as f64 / ws.len() as f64,
-        mean_committed: committed as f64 / ws.len() as f64,
-    }
-}
-
 /// Runs the ablation sweep.
 pub fn ablation() -> Vec<AblationRow> {
+    let plan = ablation_plan();
+    let (baselines, rows) = plan.run();
+    let n = plan.workloads.len() as f64;
+    plan.series
+        .iter()
+        .zip(rows)
+        .map(|((label, _, _), row)| {
+            let overheads: Vec<f64> = row
+                .iter()
+                .zip(&baselines)
+                .map(|(m, base)| m.run.cycles as f64 / base.run.cycles as f64)
+                .collect();
+            let regions: u32 = row.iter().map(|m| m.compile.regions).sum();
+            let committed: u32 = row.iter().map(|m| m.compile.committed).sum();
+            AblationRow {
+                label: (*label).into(),
+                gmean_overhead: gmean(&overheads),
+                mean_regions: regions as f64 / n,
+                mean_committed: committed as f64 / n,
+            }
+        })
+        .collect()
+}
+
+/// The runs of [`ablation`]: each design choice on every workload.
+pub fn ablation_plan() -> Plan {
+    let gpu = GpuConfig::fermi();
     let base = PennyConfig::penny();
-    vec![
-        measure("Penny (default)", &base),
-        measure(
+    let series = [
+        ("Penny (default)", base.clone()),
+        (
             "alias: params may alias",
-            &PennyConfig {
+            PennyConfig {
                 alias: AliasOptions { distinct_params: false, ..AliasOptions::default() },
                 ..base.clone()
             },
         ),
-        measure(
+        (
             "no local scheduling (low_opts off)",
-            &PennyConfig { low_opts: false, ..base.clone() },
+            PennyConfig { low_opts: false, ..base.clone() },
         ),
-        measure("eager placement (BCP off)", &PennyConfig { bcp: false, ..base.clone() }),
+        ("eager placement (BCP off)", PennyConfig { bcp: false, ..base.clone() }),
     ]
+    .into_iter()
+    .map(|(label, cfg)| (label, cfg, gpu.clone()))
+    .collect();
+    Plan { title: "Extension: design-choice ablations", gpu, workloads: all(), series }
 }
 
 /// Renders the ablation table.

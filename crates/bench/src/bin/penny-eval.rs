@@ -77,7 +77,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use penny_bench::conformance::Shard;
-use penny_bench::{conformance, figures, recstore, report, SchemeId, StaticMode};
+use penny_bench::{conformance, recstore, report, SchemeId, StaticMode};
 use penny_obs::MemRecorder;
 use penny_sim::GpuConfig;
 
@@ -202,51 +202,17 @@ fn main() {
     }
 
     let targets: Vec<&str> = if targets.is_empty() || targets.iter().any(|a| a == "all") {
-        vec![
-            "table1",
-            "table2",
-            "table3",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "fig13",
-            "fig14",
-            "fig15",
-            "multibit",
-            "ablation",
-            "errorrate",
-        ]
+        report::ALL_TARGETS.to_vec()
     } else {
         targets.iter().map(String::as_str).collect()
     };
     let mut conformance_failed = false;
     for t in targets {
+        if let Some(text) = report::render_target(t) {
+            print!("{text}");
+            continue;
+        }
         match t {
-            "table1" => print!("{}", report::render_table1()),
-            "table2" => print!("{}", report::render_table2()),
-            "table3" => print!("{}", report::render_table3()),
-            "fig9" => print!("{}", report::render_figure(&figures::fig9())),
-            "fig10" => print!("{}", report::render_figure(&figures::fig10())),
-            "fig11" => print!("{}", report::render_figure(&figures::fig11())),
-            "fig12" => print!("{}", report::render_fig12(&figures::fig12())),
-            "fig13" => print!("{}", report::render_figure(&figures::fig13())),
-            "fig14" => print!("{}", report::render_figure(&figures::fig14())),
-            "fig15" => print!("{}", report::render_figure(&figures::fig15())),
-            "ablation" => {
-                print!("{}", penny_bench::render_ablation(&penny_bench::ablation()));
-                print!("{}", penny_bench::cost_base_sensitivity());
-            }
-            "errorrate" => print!(
-                "{}",
-                penny_bench::campaign::render_error_rate(
-                    &penny_bench::campaign::error_rate_sensitivity()
-                )
-            ),
-            "multibit" => print!(
-                "{}",
-                penny_bench::campaign::render_multibit(&penny_bench::multibit_sweep(100))
-            ),
             "conformance" => {
                 conformance_failed |= conformance_cmd(&ConformanceArgs {
                     shard,

@@ -2,10 +2,15 @@
 //! the [`penny_cache`] service layer.
 //!
 //! Every figure re-runs the same 25 workloads under a handful of
-//! compiler configurations; before this cache each `run_workload` call
-//! re-parsed and re-compiled the kernel from scratch, and each
-//! `overhead_series` re-simulated the Baseline scheme — Fig. 9 paid for
-//! 100 baseline simulations instead of 25.
+//! compiler configurations. Before this cache each `run_workload` call
+//! re-parsed and re-compiled the kernel from scratch, and each figure
+//! series re-simulated the Baseline scheme: Fig. 9 paid for 100
+//! baseline simulations instead of 25. Now a figure's series share one
+//! baseline run per (workload, machine), and [`crate::runner::run_batch`]
+//! simulates each distinct launch of a figure once: configurations that
+//! lower a kernel to the same engine-visible artifact share one run,
+//! keyed by the artifact's [`penny_cache::launch_digest`], which the
+//! compile cache computes once per entry.
 //!
 //! Entries are **content-addressed**: the key is a
 //! [`penny_cache::compile_key`] digest of the kernel source text plus a
@@ -31,8 +36,15 @@ use penny_workloads::Workload;
 
 use crate::runner::{run_workload, Measured, SchemeId};
 
-fn compiled_cache() -> &'static ContentCache<Protected> {
-    static CACHE: OnceLock<ContentCache<Protected>> = OnceLock::new();
+/// A compile-cache entry: the artifact, and its launch digest once a
+/// batch run has asked for it (conformance and profiling never do).
+struct Artifact {
+    protected: Arc<Protected>,
+    launch_digest: OnceLock<u64>,
+}
+
+fn compiled_cache() -> &'static ContentCache<Artifact> {
+    static CACHE: OnceLock<ContentCache<Artifact>> = OnceLock::new();
     CACHE.get_or_init(ContentCache::with_default_capacity)
 }
 
@@ -54,6 +66,15 @@ pub fn compiled(w: &Workload, cfg: &PennyConfig) -> Arc<Protected> {
     compiled_with(w, cfg, crate::obs::recorder().as_ref())
 }
 
+/// [`compiled`] plus the artifact's [`penny_cache::launch_digest`],
+/// computed on the entry's first request and shared by every later one.
+pub fn compiled_for_launch(w: &Workload, cfg: &PennyConfig) -> (Arc<Protected>, u64) {
+    let entry = entry(w, cfg, crate::obs::recorder().as_ref());
+    let digest =
+        *entry.launch_digest.get_or_init(|| penny_cache::launch_digest(&entry.protected));
+    (Arc::clone(&entry.protected), digest)
+}
+
 /// [`compiled`] with an explicit span recorder: on a cache miss the
 /// pipeline's pass spans land in `rec` (`penny-prof` passes its
 /// per-workload recorder so a profile observes the full pipeline); on a
@@ -63,12 +84,17 @@ pub fn compiled_with(
     cfg: &PennyConfig,
     rec: &dyn Recorder,
 ) -> Arc<Protected> {
+    Arc::clone(&entry(w, cfg, rec).protected)
+}
+
+fn entry(w: &Workload, cfg: &PennyConfig, rec: &dyn Recorder) -> Arc<Artifact> {
     let source = w.source_text();
     let key = compile_key(&source, cfg);
     compiled_cache().get_or_compute(key, || {
         let kernel = w.kernel().unwrap_or_else(|e| panic!("{}: parse: {e}", w.abbr));
-        compile_observed(&kernel, cfg, rec)
-            .unwrap_or_else(|e| panic!("{}: compile: {e}", w.abbr))
+        let protected = compile_observed(&kernel, cfg, rec)
+            .unwrap_or_else(|e| panic!("{}: compile: {e}", w.abbr));
+        Artifact { protected: Arc::new(protected), launch_digest: OnceLock::new() }
     })
 }
 

@@ -28,8 +28,11 @@
 //! exactly like a crash (it is retried) — the merge layer never sees
 //! half-written data. With a shared `--recording-store` directory the
 //! shards also share fault-free recordings content-addressed by
-//! [`penny_cache::recording_key`], so only the first process to need a
-//! (workload, scheme) pair pays the record cost.
+//! [`penny_cache::recording_key`]. Concurrent cold shards may each
+//! record the same (workload, scheme) pair: nothing coordinates them
+//! across processes, and the temp-file rename that publishes a recording
+//! keeps the store consistent whichever shard finishes last. A warm
+//! store skips every record.
 //!
 //! The command template is pluggable ([`CommandTemplate`]): tests wrap
 //! the real `penny-eval` in a crash-injecting shell script, and a

@@ -6,6 +6,47 @@ use penny_coding::{table1, BaselineBank, HwCost, Scheme};
 
 use crate::figures::{Figure, PruneBreakdown};
 
+/// The targets `penny-eval all` prints, in order.
+pub const ALL_TARGETS: [&str; 13] = [
+    "table1",
+    "table2",
+    "table3",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "multibit",
+    "ablation",
+    "errorrate",
+];
+
+/// The text `penny-eval TARGET` prints for one of [`ALL_TARGETS`]; `None`
+/// for any other name.
+pub fn render_target(target: &str) -> Option<String> {
+    use crate::{campaign, figures};
+    Some(match target {
+        "table1" => render_table1(),
+        "table2" => render_table2(),
+        "table3" => render_table3(),
+        "fig9" => render_figure(&figures::fig9()),
+        "fig10" => render_figure(&figures::fig10()),
+        "fig11" => render_figure(&figures::fig11()),
+        "fig12" => render_fig12(&figures::fig12()),
+        "fig13" => render_figure(&figures::fig13()),
+        "fig14" => render_figure(&figures::fig14()),
+        "fig15" => render_figure(&figures::fig15()),
+        "multibit" => campaign::render_multibit(&campaign::multibit_sweep(100)),
+        "ablation" => {
+            crate::render_ablation(&crate::ablation()) + &crate::cost_base_sensitivity()
+        }
+        "errorrate" => campaign::render_error_rate(&campaign::error_rate_sensitivity()),
+        _ => return None,
+    })
+}
+
 /// Renders a [`Figure`] as an aligned text table: workloads as rows,
 /// series as columns, geometric mean as the last row.
 pub fn render_figure(fig: &Figure) -> String {

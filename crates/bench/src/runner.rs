@@ -1,7 +1,7 @@
 //! Shared machinery for running workloads under the evaluated schemes.
 
 use penny_coding::Scheme;
-use penny_core::{CompileStats, PennyConfig};
+use penny_core::{CompileStats, PennyConfig, Protected};
 use penny_sim::{engine, GlobalMemory, GpuConfig, RfProtection, RunStats};
 use penny_workloads::Workload;
 
@@ -89,6 +89,75 @@ pub struct Measured {
     pub compile: CompileStats,
 }
 
+/// One (series, workload) cell of a figure: `workload` compiled under
+/// `config` for, and run on, `gpu`.
+#[derive(Clone, Copy)]
+pub struct Job<'a> {
+    /// The workload.
+    pub workload: &'a Workload,
+    /// Compiler configuration (launch dims and machine are filled in).
+    pub config: &'a PennyConfig,
+    /// Machine and RF protection of the run.
+    pub gpu: &'a GpuConfig,
+}
+
+impl Job<'_> {
+    /// The configuration the job compiles under: its own plus the
+    /// workload's launch dims and the run's machine parameters.
+    pub fn compile_config(&self) -> PennyConfig {
+        self.config.clone().with_launch(self.workload.dims).with_machine(self.gpu.machine)
+    }
+}
+
+/// Runs every job, simulating each distinct launch once.
+///
+/// Jobs are grouped by workload, and each workload's jobs by launch key
+/// ([`penny_cache::launch_key`] of the artifact's cached launch digest
+/// and the job's machine): configurations that lower the kernel to the
+/// same engine-visible artifact share one simulation and output check.
+/// The workloads fan out across one [`crate::parallel::parallel_map`].
+/// Every job gets its own artifact's [`CompileStats`]; results come back
+/// in job order and are bit-identical to running each job alone.
+///
+/// # Panics
+///
+/// Like [`run_workload`], on compile or simulation failure or wrong
+/// output.
+pub fn run_batch(jobs: &[Job<'_>]) -> Vec<Measured> {
+    let mut by_workload: Vec<Vec<usize>> = Vec::new();
+    for (i, job) in jobs.iter().enumerate() {
+        match by_workload.iter_mut().find(|g| jobs[g[0]].workload.abbr == job.workload.abbr)
+        {
+            Some(group) => group.push(i),
+            None => by_workload.push(vec![i]),
+        }
+    }
+    let per_workload = crate::parallel::parallel_map(&by_workload, |group| {
+        let mut launched: Vec<(u64, RunStats)> = Vec::new();
+        group
+            .iter()
+            .map(|&i| {
+                let job = &jobs[i];
+                let (protected, digest) =
+                    crate::cache::compiled_for_launch(job.workload, &job.compile_config());
+                let key = penny_cache::launch_key(digest, job.gpu);
+                let run = match launched.iter().find(|(k, _)| *k == key) {
+                    Some(&(_, run)) => run,
+                    None => {
+                        let run = launch(job.workload, &protected, job.config, job.gpu);
+                        launched.push((key, run));
+                        run
+                    }
+                };
+                (i, Measured { run, compile: protected.stats })
+            })
+            .collect::<Vec<_>>()
+    });
+    let mut measured: Vec<(usize, Measured)> = per_workload.into_iter().flatten().collect();
+    measured.sort_unstable_by_key(|&(i, _)| i);
+    measured.into_iter().map(|(_, m)| m).collect()
+}
+
 /// Compiles (or fetches the cached compilation of) and runs one
 /// workload under an explicit configuration. The simulator borrows
 /// `gpu_config` directly — nothing is cloned per run.
@@ -102,20 +171,33 @@ pub fn run_workload(
     config: &PennyConfig,
     gpu_config: &GpuConfig,
 ) -> Measured {
-    let cfg = config.clone().with_launch(w.dims).with_machine(gpu_config.machine);
-    let protected = crate::cache::compiled(w, &cfg);
+    let job = Job { workload: w, config, gpu: gpu_config };
+    let protected = crate::cache::compiled(w, &job.compile_config());
+    let run = launch(w, &protected, config, gpu_config);
+    Measured { run, compile: protected.stats }
+}
+
+/// Simulates one compiled artifact of `w` (compiled under `config`) on
+/// `gpu_config` and checks the workload's output: the one launch every
+/// harness run goes through.
+fn launch(
+    w: &Workload,
+    protected: &Protected,
+    config: &PennyConfig,
+    gpu_config: &GpuConfig,
+) -> RunStats {
     let mut global = GlobalMemory::new();
     let launch = w.prepare(&mut global);
     let run = engine::run_observed(
         gpu_config,
-        &protected,
+        protected,
         &launch,
         &mut global,
         crate::obs::recorder().as_ref(),
     )
     .unwrap_or_else(|e| panic!("{}: run: {e}", w.abbr));
     assert!(w.check(&global), "{}: wrong output under {config:?}", w.abbr);
-    Measured { run, compile: protected.stats }
+    run
 }
 
 /// Runs a workload under one of the named schemes (Fermi by default).

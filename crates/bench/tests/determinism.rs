@@ -1,8 +1,9 @@
 //! Determinism proofs for the fast paths added to the harness:
 //!
 //! 1. the parallel figure harness assembles results bit-identically for
-//!    any `--jobs` value (the simulator is deterministic and
-//!    `parallel_map` reorders nothing);
+//!    any `--jobs` value (the simulator is deterministic, `parallel_map`
+//!    reorders nothing, and the batch runner shares a launch only
+//!    between jobs with equal launch keys);
 //! 2. the event-driven engine (idle-cycle skipping) reports exactly the
 //!    same cycle counts as the dense cycle-by-cycle reference loop,
 //!    while actually skipping work on memory-bound workloads;
@@ -30,26 +31,57 @@ fn stats_pair(abbr: &str, config: &PennyConfig, gpu: &GpuConfig) -> (RunStats, R
     (run(false), run(true))
 }
 
-/// Figure 9 must come out bit-identical no matter how many worker
-/// threads computed it. (Scheme runs are re-simulated on every call;
-/// only compilations and baselines are cached, and those memoize
-/// deterministic values.)
+/// The overhead figures and the ablation must come out bit-identical no
+/// matter how many worker threads computed them. (Scheme runs are
+/// re-simulated on every call, each distinct launch once per call; only
+/// compilations, their launch digests and baselines are cached, and
+/// those memoize deterministic values.)
 #[test]
-fn fig9_is_bit_identical_across_jobs() {
-    penny_bench::set_jobs(1);
-    let seq = penny_bench::figures::fig9();
-    penny_bench::set_jobs(8);
-    let par = penny_bench::figures::fig9();
-    penny_bench::set_jobs(1);
+fn overhead_figures_are_bit_identical_across_jobs() {
+    use penny_bench::figures::{fig10, fig11, fig13, fig15, fig9};
+    for (name, figure) in [
+        ("fig9", fig9 as fn() -> penny_bench::Figure),
+        ("fig10", fig10),
+        ("fig11", fig11),
+        ("fig13", fig13),
+        ("fig15", fig15),
+    ] {
+        penny_bench::set_jobs(1);
+        let seq = figure();
+        penny_bench::set_jobs(8);
+        let par = figure();
+        penny_bench::set_jobs(1);
 
-    assert_eq!(seq.workloads, par.workloads);
-    assert_eq!(seq.series.len(), par.series.len());
-    for (a, b) in seq.series.iter().zip(&par.series) {
-        assert_eq!(a.name, b.name);
-        // Exact f64 equality is the point: same cycles, same ratios,
-        // same order of gmean accumulation.
-        assert_eq!(a.values, b.values, "series {} differs across --jobs", a.name);
-        assert_eq!(a.gmean.to_bits(), b.gmean.to_bits());
+        assert_eq!(seq.workloads, par.workloads, "{name}");
+        assert_eq!(seq.series.len(), par.series.len(), "{name}");
+        for (a, b) in seq.series.iter().zip(&par.series) {
+            assert_eq!(a.name, b.name);
+            // Exact f64 equality is the point: same cycles, same ratios,
+            // same order of gmean accumulation.
+            assert_eq!(
+                a.values, b.values,
+                "{name}: series {} differs across --jobs",
+                a.name
+            );
+            assert_eq!(a.gmean.to_bits(), b.gmean.to_bits(), "{name}: {}", a.name);
+        }
+    }
+    penny_bench::set_jobs(1);
+    let seq = penny_bench::ablation();
+    penny_bench::set_jobs(8);
+    let par = penny_bench::ablation();
+    penny_bench::set_jobs(1);
+    assert_eq!(seq.len(), par.len());
+    for (a, b) in seq.iter().zip(&par) {
+        assert_eq!(a.label, b.label);
+        let bits = |r: &penny_bench::AblationRow| {
+            [
+                r.gmean_overhead.to_bits(),
+                r.mean_regions.to_bits(),
+                r.mean_committed.to_bits(),
+            ]
+        };
+        assert_eq!(bits(a), bits(b), "ablation: {} differs across --jobs", a.label);
     }
 }
 

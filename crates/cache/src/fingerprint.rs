@@ -14,8 +14,8 @@
 use penny_analysis::AliasOptions;
 use penny_coding::Scheme;
 use penny_core::{
-    LaunchDims, MachineParams, OverwritePolicy, PennyConfig, Protected, Protection,
-    PruningMode, StoragePolicy,
+    CompileStats, LaunchDims, MachineParams, OverwritePolicy, PennyConfig, Protected,
+    Protection, PruningMode, StoragePolicy,
 };
 use penny_sim::{GpuConfig, RfProtection};
 
@@ -194,6 +194,86 @@ pub fn recording_key(kernel_text: &str, cfg: &PennyConfig, gpu: &GpuConfig) -> u
 /// `crates/bench/tests/golden/artifact_fingerprints.txt`).
 pub fn fingerprint_protected(p: &Protected) -> u64 {
     let mut h = Fnv64::new();
+    write_program(&mut h, p);
+    h.write_str(&format!("{:?}", p.stats));
+    // The vulnerability artifact is hashed only when present so digests
+    // of artifacts compiled without the analysis (including every
+    // golden in `artifact_fingerprints.txt`) are unchanged.
+    if let Some(v) = &p.vulnerability {
+        h.write_str("vulnerability");
+        h.write_u64(v.num_points() as u64);
+        h.write_u64(v.num_regs() as u64);
+        h.write_bool(v.atomics_fenced());
+        h.write_bool(v.has_regions());
+        for pc in 0..v.num_points() {
+            h.write_bool(v.protected_point(pc));
+            for reg in 0..v.num_regs() as u32 {
+                h.write_u32(match v.fact(pc, reg) {
+                    Some(penny_analysis::PointFact::Dead) => 0,
+                    Some(penny_analysis::PointFact::Overwritten) => 1,
+                    Some(penny_analysis::PointFact::ReadFirst) => 2,
+                    None => 3,
+                });
+            }
+        }
+    }
+    h.finish()
+}
+
+/// Digest of every part of a compiled artifact the engine reads: the
+/// instrumented kernel, the recovery metadata, the checkpoint storage
+/// layout and the register estimate that sets occupancy. Two artifacts
+/// with equal launch digests simulate identically on one machine and
+/// launch, whatever their other compile statistics or vulnerability
+/// maps say; [`launch_key`] adds the machine.
+pub fn launch_digest(p: &Protected) -> u64 {
+    // Exhaustive destructuring: a new field of either struct does not
+    // compile until it is classified. `write_program` walks the program
+    // fields; of the rest, the engine reads only the register estimate.
+    let Protected {
+        kernel: _,
+        regions: _,
+        slots: _,
+        setup: _,
+        shared_ckpt_base: _,
+        shared_ckpt_bytes: _,
+        global_slot_count: _,
+        stats,
+        vulnerability: _,
+    } = p;
+    let CompileStats {
+        total_checkpoints: _,
+        pruned_basic: _,
+        pruned_additional: _,
+        committed: _,
+        regions: _,
+        overwrite_prone_regs: _,
+        adjustment_blocks: _,
+        regs_per_thread,
+        ckpt_shared_bytes: _,
+        ckpt_global_slots: _,
+        occupancy: _,
+    } = stats;
+    let mut h = Fnv64::new();
+    write_program(&mut h, p);
+    h.write_u32(*regs_per_thread);
+    h.finish()
+}
+
+/// Key of one simulated launch: an artifact's [`launch_digest`] plus the
+/// GPU configuration it runs on. Runs of one workload with equal keys
+/// return equal statistics and final memory.
+pub fn launch_key(launch_digest: u64, gpu: &GpuConfig) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_u64(launch_digest);
+    gpu.fingerprint(&mut h);
+    h.finish()
+}
+
+/// Absorbs the program half of an artifact, shared by
+/// [`fingerprint_protected`] and [`launch_digest`]: the kernel, regions,
+/// slots, setup registers and checkpoint storage layout.
+fn write_program(h: &mut Fnv64, p: &Protected) {
     let k = &p.kernel;
     h.write_str(&k.name);
     h.write_u64(k.params.len() as u64);
@@ -237,29 +317,6 @@ pub fn fingerprint_protected(p: &Protected) -> u64 {
     h.write_u32(p.shared_ckpt_base);
     h.write_u32(p.shared_ckpt_bytes);
     h.write_u32(p.global_slot_count);
-    h.write_str(&format!("{:?}", p.stats));
-    // The vulnerability artifact is hashed only when present so digests
-    // of artifacts compiled without the analysis (including every
-    // golden in `artifact_fingerprints.txt`) are unchanged.
-    if let Some(v) = &p.vulnerability {
-        h.write_str("vulnerability");
-        h.write_u64(v.num_points() as u64);
-        h.write_u64(v.num_regs() as u64);
-        h.write_bool(v.atomics_fenced());
-        h.write_bool(v.has_regions());
-        for pc in 0..v.num_points() {
-            h.write_bool(v.protected_point(pc));
-            for reg in 0..v.num_regs() as u32 {
-                h.write_u32(match v.fact(pc, reg) {
-                    Some(penny_analysis::PointFact::Dead) => 0,
-                    Some(penny_analysis::PointFact::Overwritten) => 1,
-                    Some(penny_analysis::PointFact::ReadFirst) => 2,
-                    None => 3,
-                });
-            }
-        }
-    }
-    h.finish()
 }
 
 #[cfg(test)]
@@ -333,5 +390,85 @@ mod tests {
         assert_eq!(fingerprint_protected(&a), fingerprint_protected(&b));
         a.shared_ckpt_bytes = 4;
         assert_ne!(fingerprint_protected(&a), fingerprint_protected(&b));
+    }
+
+    /// A Penny artifact with regions, slot restores and a vulnerability
+    /// map: the figure-4 kernel of the paper (a checkpointed register
+    /// live into the next region).
+    fn penny_artifact() -> Protected {
+        let kernel = penny_ir::parse_kernel(
+            ".kernel f4\nentry:\n mov.u32 %r1, 5\n mov.u32 %r2, 49152\n \
+             ld.global.u32 %r3, [%r2]\n mov.u32 %r4, 7\n st.global.u32 [%r2], %r1\n \
+             add.u32 %r1, %r1, %r4\n ld.global.u32 %r4, [%r2+4]\n \
+             st.global.u32 [%r2+4], %r1\n st.global.u32 [%r2+8], %r4\n ret\n",
+        )
+        .expect("parse");
+        let cfg = PennyConfig::penny().with_vulnerability(true);
+        let p = penny_core::compile(&kernel, &cfg).expect("compile");
+        assert!(p.vulnerability.is_some());
+        assert!(p.regions.iter().any(|r| !r.restores.is_empty()), "no restores");
+        assert!(!p.slots.is_empty(), "no slots");
+        p
+    }
+
+    #[test]
+    fn launch_key_ignores_what_the_engine_does_not_read() {
+        let p = penny_artifact();
+        let gpu = GpuConfig::fermi();
+        let key = |q: &Protected| launch_key(launch_digest(q), &gpu);
+        let base = key(&p);
+        assert_eq!(base, key(&p.clone()));
+        assert_eq!(base, key(&Protected { vulnerability: None, ..p.clone() }));
+        let stats = p.stats;
+        let variants = [
+            CompileStats { total_checkpoints: stats.total_checkpoints + 1, ..stats },
+            CompileStats { pruned_basic: stats.pruned_basic + 1, ..stats },
+            CompileStats { pruned_additional: stats.pruned_additional + 1, ..stats },
+            CompileStats { committed: stats.committed + 1, ..stats },
+            CompileStats { regions: stats.regions + 1, ..stats },
+            CompileStats { overwrite_prone_regs: stats.overwrite_prone_regs + 1, ..stats },
+            CompileStats { adjustment_blocks: stats.adjustment_blocks + 1, ..stats },
+            CompileStats { ckpt_shared_bytes: stats.ckpt_shared_bytes + 4, ..stats },
+            CompileStats { ckpt_global_slots: stats.ckpt_global_slots + 1, ..stats },
+            CompileStats { occupancy: stats.occupancy / 2.0, ..stats },
+        ];
+        for stats in variants {
+            let q = Protected { stats, ..p.clone() };
+            assert_ne!(fingerprint_protected(&q), fingerprint_protected(&p));
+            assert_eq!(key(&q), base, "{stats:?} changed the launch key");
+        }
+    }
+
+    #[test]
+    fn launch_key_tracks_what_the_engine_reads() {
+        let p = penny_artifact();
+        let gpu = GpuConfig::fermi();
+        let base = launch_key(launch_digest(&p), &gpu);
+        let mut variants = Vec::new();
+        let mut q = p.clone();
+        q.stats.regs_per_thread += 1;
+        variants.push(("regs_per_thread", q));
+        let mut q = p.clone();
+        q.shared_ckpt_bytes += 4;
+        variants.push(("shared_ckpt_bytes", q));
+        let mut q = p.clone();
+        q.global_slot_count += 1;
+        variants.push(("global_slot_count", q));
+        let mut q = p.clone();
+        let entry = q.kernel.entry;
+        q.kernel.block_mut(entry).insts[0].offset += 4;
+        variants.push(("one instruction", q));
+        let mut q = p.clone();
+        let region = q.regions.iter_mut().find(|r| !r.restores.is_empty()).expect("region");
+        region.restores.pop();
+        variants.push(("one region's restores", q));
+        let mut q = p.clone();
+        q.slots.values_mut().next().expect("slot").index += 1;
+        variants.push(("one slot", q));
+        for (what, q) in variants {
+            assert_ne!(launch_key(launch_digest(&q), &gpu), base, "{what}");
+        }
+        let unprotected = gpu.clone().with_rf(RfProtection::None);
+        assert_ne!(launch_key(launch_digest(&p), &unprotected), base, "RF protection");
     }
 }

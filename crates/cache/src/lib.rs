@@ -24,6 +24,9 @@
 //!
 //! [`fingerprint_protected`] digests a compiled artifact; the golden
 //! determinism suite uses it as a compact byte-identity witness.
+//! [`launch_digest`] digests only the parts the engine reads, and
+//! [`launch_key`] adds the machine, so the figure harness can simulate
+//! artifacts that launch identically once.
 
 mod fingerprint;
 mod fnv;
@@ -32,7 +35,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
 pub use fingerprint::{
-    compile_key, digest, fingerprint_protected, recording_key, Fingerprint,
+    compile_key, digest, fingerprint_protected, launch_digest, launch_key, recording_key,
+    Fingerprint,
 };
 pub use fnv::Fnv64;
 

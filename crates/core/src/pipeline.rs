@@ -5,7 +5,7 @@
 use std::collections::{HashMap, HashSet};
 
 use penny_analysis::{AliasAnalysis, ControlDeps, Liveness, LoopInfo, ReachingDefs};
-use penny_ir::{Color, InstId, Kernel, VReg};
+use penny_ir::{Color, InstId, Kernel, RegionId, VReg};
 use penny_obs::{record, Recorder, SpanKind, SpanTimer};
 
 use crate::baselines::apply_igpu_renaming;
@@ -68,12 +68,19 @@ pub fn compile_observed(
             OverwritePolicy::Auto => {
                 // Paper §6.3: compile both ways, keep the cheaper. A
                 // variant that cannot protect every register (e.g.
-                // renaming on loop-carried registers) simply loses.
+                // renaming on loop-carried registers) simply loses. An
+                // internal error is not a limit of one variant, so the
+                // other must not hide it: it fails the compile, and as
+                // soon as renaming reports it, alternation is skipped.
                 let renamed =
                     compile_checkpointed(kernel, config, OverwritePolicy::Renaming, rec);
+                if let Err(e @ CompileError::Internal(_)) = renamed {
+                    return Err(e);
+                }
                 let colored =
                     compile_checkpointed(kernel, config, OverwritePolicy::Alternation, rec);
                 match (renamed, colored) {
+                    (_, Err(e @ CompileError::Internal(_))) => Err(e),
                     (Ok(r), Ok(c)) => {
                         Ok(if score(&r.stats) <= score(&c.stats) { r } else { c })
                     }
@@ -543,6 +550,17 @@ fn build_restores(
         kernel, &rd, &aa, &cd, &slot_fn, &assume_fn, &reach_cp, &region_of,
     );
     let rc = restore_colors(kernel, rm, &live_ins);
+    // The slot color a live-in is restored from. A marker block the
+    // entry never reaches has no colors and keeps slot color K0; a
+    // reachable live-in without one consistent color cannot be restored
+    // from a slot.
+    let slot_color = |region: RegionId, reg: VReg| match rc.get(&(region, reg)) {
+        Some(Some(color)) => Ok(*color),
+        Some(None) => Err(CompileError::Internal(format!(
+            "live-in {reg} of {region} has no consistent checkpoint slot"
+        ))),
+        None => Ok(Color::K0),
+    };
 
     let mut forced: Vec<InstId> = Vec::new();
     let mut regions = Vec::new();
@@ -555,7 +573,7 @@ fn build_restores(
             let all_committed =
                 !reaching.is_empty() && reaching.iter().all(|id| committed.contains(id));
             if all_committed {
-                let color = rc.get(&(region, reg)).copied().unwrap_or(Color::K0);
+                let color = slot_color(region, reg)?;
                 restores.push((reg, Restore::Slot(slot_fn(reg, color))));
                 continue;
             }
@@ -571,7 +589,7 @@ fn build_restores(
                         )));
                     }
                     forced.extend(reaching.iter().copied());
-                    let color = rc.get(&(region, reg)).copied().unwrap_or(Color::K0);
+                    let color = slot_color(region, reg)?;
                     restores.push((reg, Restore::Slot(slot_fn(reg, color))));
                 }
             }

@@ -533,15 +533,12 @@ pub fn fault_plan(seed: u64, dims: LaunchDims, regs: u32, count: usize) -> Fault
     FaultPlan::random(seed, count, dims.blocks(), warps, 32, regs, 33, 60)
 }
 
-/// Compiles under a Penny config, treating compiler rejections (and
-/// panics from overwrite-prevention edge cases on generator-shaped
-/// kernels) as `None`: generative suites prove *engine* properties, so
-/// kernels the Penny compiler cannot yet instrument are skipped rather
-/// than failed.
+/// Compiles under a Penny config, treating compiler rejections as
+/// `None`: generative suites prove *engine* properties, so kernels the
+/// Penny compiler cannot yet instrument are skipped rather than failed.
+/// A compiler panic is not a rejection and propagates.
 pub fn try_compile(k: &Kernel, cfg: PennyConfig) -> Option<Protected> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| penny_core::compile(k, &cfg)))
-        .ok()
-        .and_then(|r| r.ok())
+    penny_core::compile(k, &cfg).ok()
 }
 
 /// One interpreter leg's outcome: the run result plus final memory

@@ -9,19 +9,26 @@
 #   3. release build of the whole workspace;
 #   4. the root-package test suite (the tier-1 gate);
 #   5. the determinism/equivalence suites that pin every engine fast
-#      path — event-driven vs dense scheduling, --jobs fan-out, and the
-#      pre-decoded micro-op + warp register-file row path vs the
-#      always-decode reference interpreter — bit-identical; the whole
-#      penny-sim suite runs here (register-file units, engine behavior,
-#      recovery, the snapshot-equivalence suite — forked sites
-#      bit-identical to from-scratch runs, memo twins within and across
-#      cells — generated-kernel resume determinism, the access index
-#      derived from each warp's instruction stream against the engine's
-#      own accesses, the pinned `PREC` recording bytes, their round
-#      trips and every bit flip and truncation of a stored recording,
-#      partial warps); plus the compile-cache service suite (racing
-#      misses compile once, batch / serial / hit / fresh artifacts
-#      fingerprint-identical);
+#      path — event-driven vs dense scheduling, --jobs fan-out of every
+#      overhead figure and the ablation, and the pre-decoded micro-op +
+#      warp register-file row path vs the always-decode reference
+#      interpreter — bit-identical; the figure batch runner (each job's
+#      shared launch equals its own run, each job keeps its own compile
+#      statistics, one launch per distinct launch key); the rendered
+#      text of every `penny-eval all` target pinned by digest
+#      (tests/golden/figures.txt); the golden artifact fingerprints of
+#      the 25 workloads under four schemes; the whole penny-sim suite
+#      (register-file units, engine behavior, recovery, the
+#      snapshot-equivalence suite — forked sites bit-identical to
+#      from-scratch runs, memo twins within and across cells —
+#      generated-kernel resume determinism, the generated kernels the
+#      protected compilers accept or reject without a panic, the access
+#      index derived from each warp's instruction stream against the
+#      engine's own accesses, the pinned `PREC` recording bytes, their
+#      round trips and every bit flip and truncation of a stored
+#      recording, partial warps); plus the compile-cache service suite
+#      (racing misses compile once, batch / serial / hit / fresh
+#      artifacts fingerprint-identical);
 #   6. the fault-space conformance harness (small default budget):
 #      every covered (instruction × register × bit) site must recover
 #      to the fault-free final memory under each protected scheme,
@@ -104,6 +111,9 @@ cargo test -q
 
 echo "==> determinism: harness + engine fast paths"
 cargo test --release -p penny-bench --test determinism
+cargo test --release -p penny-bench --test batch_runner
+cargo test --release -p penny-bench --test figure_pins
+cargo test --release -p penny-bench --test artifact_fingerprints
 cargo test --release -p penny-sim
 
 echo "==> determinism: compile-cache service (fingerprint identity)"
