@@ -538,25 +538,19 @@ fn conformance_config(
         .with_vulnerability(vulnerability)
 }
 
-/// Compiles every (workload, scheme) pair the caller is about to check,
-/// fanned out across [`crate::parallel::jobs`] workers via
+/// Compiles every (workload, scheme) pair the caller is about to check
+/// in `mode`, fanned out across [`crate::parallel::jobs`] workers via
 /// [`crate::cache::compile_batch`]. Purely a warm-up: the artifacts land
 /// in the shared content cache, so the subsequent [`run_conformance`]
 /// calls (and any reproducer re-checks) start from hits. Verdicts are
 /// identical with or without prewarming.
-pub fn prewarm(pairs: &[(&str, SchemeId)]) {
-    prewarm_static(pairs, false);
-}
-
-/// [`prewarm`] with the vulnerability analysis on, matching the compile
-/// key the static-mode entry points resolve to.
-pub fn prewarm_static(pairs: &[(&str, SchemeId)], vulnerability: bool) {
+pub fn prewarm(pairs: &[(&str, SchemeId)], mode: StaticMode) {
     let batch: Vec<(Workload, penny_core::PennyConfig)> = pairs
         .iter()
         .map(|&(abbr, scheme)| {
             let w = penny_workloads::by_abbr(abbr)
                 .unwrap_or_else(|| panic!("unknown workload {abbr}"));
-            let cfg = conformance_config(&w, scheme, vulnerability);
+            let cfg = conformance_config(&w, scheme, mode != StaticMode::Off);
             (w, cfg)
         })
         .collect();
@@ -1396,85 +1390,6 @@ pub fn merge_reports_allow_missing(
         .map(|(i, _)| i as u32)
         .collect();
     Ok((merged, missing))
-}
-
-/// Measured snapshot-vs-cold site throughput for one (workload, scheme)
-/// pair (see [`bench_throughput`]).
-#[derive(Debug, Clone)]
-pub struct ThroughputBench {
-    /// Workload abbreviation.
-    pub workload: &'static str,
-    /// Scheme display name.
-    pub variant: &'static str,
-    /// Sites covered per sweep.
-    pub covered: u64,
-    /// Best-of-`reps` wall seconds for the full snapshot/replay sweep,
-    /// including the fault-free recording itself.
-    pub forked_wall_s: f64,
-    /// Covered sites per second through the snapshot engine.
-    pub forked_sites_per_sec: f64,
-    /// Cold sites actually timed for the baseline extrapolation.
-    pub cold_sites_timed: u64,
-    /// Wall seconds those cold sites took.
-    pub cold_wall_s: f64,
-    /// From-cycle-0 sites per second (the pre-snapshot harness cost).
-    pub cold_sites_per_sec: f64,
-    /// `forked_sites_per_sec / cold_sites_per_sec`.
-    pub speedup: f64,
-    /// The report of the last timed sweep (verdicts are identical
-    /// across reps).
-    pub report: ConformanceReport,
-}
-
-/// Times the snapshot/replay sweep (best of `reps`, recording cost
-/// included) against a cold-harness baseline extrapolated from
-/// `cold_samples` evenly spaced sites simulated from cycle 0 — the
-/// evidence behind the campaign-throughput gate in `scripts/verify.sh`.
-pub fn bench_throughput(
-    abbr: &str,
-    scheme: SchemeId,
-    budget: u64,
-    reps: u32,
-    cold_samples: u64,
-) -> ThroughputBench {
-    use std::time::Instant;
-    // The first rep runs unconditionally, so there is always a report —
-    // no Option, no "at least one rep" panic path, even for degenerate
-    // inputs (zero budget, zero reps, empty partitions).
-    let t = Instant::now();
-    let mut report = run_conformance(abbr, scheme, budget);
-    let mut best = t.elapsed().as_secs_f64();
-    for _ in 1..reps.max(1) {
-        let t = Instant::now();
-        report = run_conformance(abbr, scheme, budget);
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-
-    let p = prepare(abbr, scheme, false);
-    let seq = p.space.sequence(budget);
-    let step = (seq.len() / cold_samples.max(1)).max(1);
-    let cold_positions: Vec<u64> = (0..seq.len()).step_by(step as usize).collect();
-    let t = Instant::now();
-    for &pos in &cold_positions {
-        let _ = run_site(&p, &p.space.site(seq.index_at(pos)));
-    }
-    let cold_wall_s = t.elapsed().as_secs_f64();
-    let cold_sites_timed = cold_positions.len() as u64;
-
-    let forked_sites_per_sec = report.covered as f64 / best.max(1e-9);
-    let cold_sites_per_sec = cold_sites_timed as f64 / cold_wall_s.max(1e-9);
-    ThroughputBench {
-        workload: report.workload,
-        variant: report.variant,
-        covered: report.covered,
-        forked_wall_s: best,
-        forked_sites_per_sec,
-        cold_sites_timed,
-        cold_wall_s,
-        cold_sites_per_sec,
-        speedup: forked_sites_per_sec / cold_sites_per_sec.max(1e-9),
-        report,
-    }
 }
 
 /// Renders a report block: coverage counts, site classes, plus any

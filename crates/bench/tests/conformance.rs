@@ -37,7 +37,7 @@ fn conformance_mt_recovers_under_all_protected_schemes() {
         [SchemeId::Penny, SchemeId::BoltGlobal, SchemeId::BoltAuto, SchemeId::IGpu];
     // Batch-compile all four variants up front (fans out across the
     // parallel harness); the per-scheme runs below start from cache hits.
-    penny_bench::conformance::prewarm(&schemes.map(|s| ("MT", s)));
+    penny_bench::conformance::prewarm(&schemes.map(|s| ("MT", s)), StaticMode::Off);
     for scheme in schemes {
         assert_clean("MT", scheme, 300);
     }
@@ -178,12 +178,6 @@ fn zero_budget_and_empty_shards_report_empty_but_valid() {
     assert_eq!(render_report(&merged), render_report(&full));
     assert_eq!(merged.covered, full.covered);
     assert_eq!(merged.classes, full.classes);
-
-    // The throughput bench survives the same degenerate inputs (it used
-    // to unwrap a report that was only set inside the reps loop).
-    let b = penny_bench::conformance::bench_throughput("MT", SchemeId::Penny, 0, 0, 0);
-    assert_eq!(b.covered, 0);
-    assert_eq!(b.report.covered, 0);
 }
 
 #[test]
@@ -388,9 +382,9 @@ fn exhaustive_mt_report_bytes_are_pinned() {
 }
 
 /// A shard of an exhaustive sweep answers exactly the sample positions
-/// it owns — the check `penny-eval conformance-exhaustive --shard`
-/// makes; the other shards' positions count as skipped — and the
-/// shards merge into the unsharded report.
+/// it owns — the check every `penny-eval conformance` run makes; the
+/// other shards' positions count as skipped — and the shards merge into
+/// the unsharded report.
 #[test]
 fn exhaustive_shards_answer_the_positions_they_own() {
     let full = run_conformance_static("MT", SchemeId::Penny, u64::MAX, StaticMode::Off);
@@ -415,4 +409,27 @@ fn exhaustive_shards_answer_the_positions_they_own() {
         .collect();
     let merged = merge_reports(&shards).expect("merge");
     assert_eq!(render_report(&merged), render_report(&full));
+}
+
+/// The snapshot engine's work gate: at the deep-sweep budget, a forked
+/// sweep of MT and SGEMM under Penny re-simulates at least 20x fewer
+/// warp instructions than a cold harness would run for the same covered
+/// sites, counting the fault-free recording (one run of the kernel,
+/// `cold_insts / covered`) against the forked sweep. Work counts are
+/// deterministic, so this tracks the wall-clock speedup without
+/// depending on the host or on `--jobs`.
+#[test]
+fn forked_sweeps_do_at_most_a_twentieth_of_the_cold_work() {
+    for abbr in ["MT", "SGEMM"] {
+        let r = run_conformance(abbr, SchemeId::Penny, 2000);
+        assert_eq!(r.covered, 2000);
+        let w = r.work;
+        let recording = w.cold_insts / r.covered;
+        let ratio = w.cold_insts as f64 / (w.replayed_insts + recording) as f64;
+        println!("{abbr}/Penny: cold/forked work {ratio:.1}x");
+        assert!(
+            w.cold_insts >= 20 * (w.replayed_insts + recording),
+            "{abbr}/Penny: cold/forked work {ratio:.1}x is below 20x ({w:?})"
+        );
+    }
 }

@@ -1,4 +1,4 @@
-//! Observability neutrality: every figure, BENCH value, and conformance
+//! Observability neutrality: every figure, baseline run, and conformance
 //! verdict must be byte-identical whether the recorder is enabled or
 //! disabled — the instrumentation may measure the system but never
 //! steer it.
@@ -147,7 +147,7 @@ fn fig9_and_baselines_are_identical_with_global_sink_on_and_off() {
     drop(sink);
 
     assert_eq!(silent, observed, "fig9 rendering differs with the sink installed");
-    assert_eq!(base_off.run, base_on.run, "BENCH baseline cycles differ");
+    assert_eq!(base_off.run, base_on.run, "MT baseline run differs");
 }
 
 #[test]

@@ -7,9 +7,9 @@
 //! instrumentation site is written so that a disabled recorder costs a
 //! predicted-false branch: no clock is read ([`SpanTimer::start`]
 //! returns a dead timer), no counter vector is built, and no [`Span`]
-//! is allocated. The figure suite and `BENCH_eval.json` are therefore
-//! byte-identical with observability on or off — a property
-//! `crates/bench/tests/obs_neutrality.rs` pins.
+//! is allocated. The figure suite, the baseline runs and the
+//! conformance verdicts are therefore byte-identical with observability
+//! on or off — a property `crates/bench/tests/obs_neutrality.rs` pins.
 //!
 //! Six span kinds cover the system:
 //!

@@ -36,10 +36,13 @@
 #      harness unit tests (every member of sampled recovery-point
 #      groups against its representative), the whole integration
 #      suite in release (shard-merge byte identity, the pinned
-#      exhaustive MT reports), a sharded exhaustive sweep (each shard
-#      answers exactly the positions it owns), and the
-#      campaign-throughput gate (snapshot-vs-cold site throughput >=
-#      20x, best of 3, written to BENCH_eval.json);
+#      exhaustive MT reports, and the work gate: a forked MT or SGEMM
+#      sweep under Penny re-simulates at least 20x fewer warp
+#      instructions than a cold harness, recording included), the
+#      penny-eval command-line suite (unknown targets and flags exit 2
+#      before any output; a sharded `--budget all` sweep answers its
+#      own positions), and a sharded exhaustive sweep of MT, STC, FW
+#      and BS (each shard answers exactly the positions it owns);
 #   6b. the penny-herd orchestration gate: the supervised-shard test
 #      suite (crash-injected retry, partial degradation, timeout
 #      kill) and the recording-store suite (a damaged stored recording
@@ -49,13 +52,13 @@
 #      the same recording store that must skip the record phase
 #      (recording-store span hits > 0 in every shard's obs stream);
 #   6c. the static-vulnerability gates: the translation-validation
-#      agreement sweep (deep-budget MT/SGEMM under every protected
-#      scheme plus the exhaustive MT fault space, validate mode — zero
-#      static/dynamic disagreements), the analytic-profile suite (the
-#      profile behind `penny-eval vulnerability` must equal the
-#      exhaustive prune sweep field for field), and the prune-rate
-#      floor (penny-eval vulnerability --min-prune: at least 50% of the
-#      MT fault space must be statically answered);
+#      agreement sweeps (penny-eval conformance --static-validate:
+#      deep-budget MT/SGEMM under every protected scheme, then the
+#      exhaustive MT fault space under Penny — zero static/dynamic
+#      disagreements), the analytic-profile suite (the profile behind
+#      `penny-eval vulnerability` must equal the exhaustive prune sweep
+#      field for field, and classify at least 50% of the MT fault space
+#      under Penny), and a smoke run of `penny-eval vulnerability`;
 #   6d. the multi-bit campaign suite (penny_bench::campaign): the
 #      `penny-eval multibit` and `errorrate` tables byte-pinned, every
 #      run booked in exactly one of benign / recovered / DUE / SDC, and
@@ -75,7 +78,7 @@
 #      (penny_obs::json), the span-schema validator and the
 #      shard-report round trip (penny_bench::json); penny-prof over all
 #      25 workloads with every emitted JSONL span schema-validated; and
-#      the neutrality suite (figures/BENCH/conformance byte-identical
+#      the neutrality suite (figures and conformance byte-identical
 #      with the recorder on vs off);
 #   8. the compile-time perf gate: overwrite prevention must stay at
 #      or under 35% of total pass time (best of three runs — wall
@@ -122,16 +125,16 @@ cargo test --release -p penny-bench --test cache_service
 echo "==> conformance: fault-space recovery harness"
 cargo test -q -p penny-bench conformance
 
-echo "==> conformance: integration suite (shard merges, pinned reports)"
+echo "==> conformance: integration suite (shard merges, pinned reports, work gate)"
 cargo test --release -p penny-bench --test conformance
+
+echo "==> conformance: penny-eval command line (target checks, sharded sweep)"
+cargo test --release -p penny-bench --test eval_cli
 
 echo "==> conformance: a sharded exhaustive sweep answers its own positions"
 cargo run -q --release -p penny-bench --bin penny-eval -- \
-    conformance-exhaustive --shard 1/2 > /dev/null
-
-echo "==> conformance: campaign throughput gate (>= 20x vs cold)"
-cargo run -q --release -p penny-bench --bin penny-eval -- \
-    conformance --bench-json --min-speedup 20
+    conformance --workloads MT,STC,FW,BS --schemes Penny --budget all \
+    --shard 1/2 > /dev/null
 
 echo "==> herd: supervised-shard suite (retry, partial, timeout)"
 cargo test --release -p penny-bench --test herd
@@ -166,20 +169,21 @@ for obs in "$herd_dir"/warm/shard_*.obs.jsonl; do
 done
 rm -rf "$herd_dir"
 
-echo "==> static vulnerability: translation-validation agreement sweep"
+echo "==> static vulnerability: translation-validation agreement sweeps"
 # Deep-budget validate-mode sweeps of MT and SGEMM under every
 # protected scheme, then the exhaustive full MT fault space: every
 # static site-class claim is also replayed and cross-examined against
 # the snapshot/replay engine. One disagreement fails the gate.
 cargo run -q --release -p penny-bench --bin penny-eval -- \
-    static-agreement --budget 2000
+    conformance --workloads MT,SGEMM --static-validate --budget 2000
+cargo run -q --release -p penny-bench --bin penny-eval -- \
+    conformance --workloads MT --schemes Penny --static-validate --budget all
 
-echo "==> static vulnerability: analytic profile == exhaustive prune sweep"
+echo "==> static vulnerability: analytic profile == exhaustive prune sweep, MT floor"
 cargo test -q -p penny-bench --lib vulnerability
 
-echo "==> static vulnerability: prune-rate floor (MT >= 50% classified)"
-cargo run -q --release -p penny-bench --bin penny-eval -- \
-    vulnerability --min-prune 0.5 > /dev/null
+echo "==> static vulnerability: the profile report runs"
+cargo run -q --release -p penny-bench --bin penny-eval -- vulnerability > /dev/null
 
 echo "==> campaign: multi-bit tables byte-pinned, DUE kept apart from SDC"
 cargo test -q -p penny-bench --lib campaign
