@@ -36,7 +36,10 @@
 use std::collections::HashMap;
 
 use crate::range::{Range, RangeAnalysis, RangeHints};
-use penny_ir::{InstId, Kernel, Loc, MemSpace, Op, Operand, Special, VReg};
+use penny_ir::{
+    solve, BlockId, Direction, InstId, Kernel, Lattice, Loc, MemSpace, Op, Operand,
+    Special, Transfer, VReg,
+};
 
 /// Options controlling conservatism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -330,7 +333,7 @@ pub struct AliasAnalysis {
 impl AliasAnalysis {
     /// Runs the analysis.
     pub fn compute(kernel: &Kernel, options: AliasOptions) -> AliasAnalysis {
-        let values = propagate(kernel);
+        let values = solve(kernel, &Propagate).entry;
         // Hints are deliberately the launch-independent defaults: the
         // same kernel must get the same alias verdicts no matter what
         // geometry it is later launched with.
@@ -491,8 +494,12 @@ impl Env {
             self.vals[r.index()] = v;
         }
     }
+}
 
-    fn meet_with(&mut self, o: &Env) -> bool {
+/// The solver's join is [`Sym::meet`], pointwise: `Undef` is its
+/// identity.
+impl Lattice for Env {
+    fn join(&mut self, o: &Env) -> bool {
         let mut changed = false;
         for (a, &b) in self.vals.iter_mut().zip(&o.vals) {
             let m = a.meet(b);
@@ -551,26 +558,28 @@ fn transfer(inst: &penny_ir::Inst, env: &mut Env) {
     env.set(dst, val);
 }
 
-/// Forward fixpoint: symbolic environment at each block entry.
-fn propagate(kernel: &Kernel) -> Vec<Env> {
-    let n = kernel.num_blocks();
-    let nregs = kernel.vreg_limit() as usize;
-    let mut in_envs = vec![Env::new(nregs); n];
-    let order = kernel.reverse_post_order();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in &order {
-            let mut out = in_envs[b.index()].clone();
-            for inst in &kernel.block(b).insts {
-                transfer(inst, &mut out);
-            }
-            for s in kernel.block(b).term.successors() {
-                changed |= in_envs[s.index()].meet_with(&out);
-            }
+/// Forward propagation of symbolic values. Not monotone: `Sym::add`
+/// maps an `Undef` operand to `Unknown`, while `Undef` is the join's
+/// identity. Only a read that no definition reaches sees `Undef`, which
+/// the verifier rejects.
+struct Propagate;
+
+impl Transfer for Propagate {
+    type State = Env;
+
+    fn direction(&self) -> Direction {
+        Direction::Forward
+    }
+
+    fn init(&self, kernel: &Kernel) -> Env {
+        Env::new(kernel.vreg_limit() as usize)
+    }
+
+    fn apply(&self, kernel: &Kernel, b: BlockId, env: &mut Env) {
+        for inst in &kernel.block(b).insts {
+            transfer(inst, env);
         }
     }
-    in_envs
 }
 
 #[cfg(test)]

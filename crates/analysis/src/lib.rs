@@ -11,9 +11,6 @@
 //! * [`ReachingDefs`] — last update points (LUPs) of live-in registers;
 //! * [`AliasAnalysis`] — symbolic address analysis powering memory
 //!   anti-dependence detection for region formation (paper §5);
-//! * [`BitSet`] — the dense set type backing the dataflow fixpoints;
-//! * [`dataflow`] — the generic monotone worklist framework the
-//!   fixpoint analyses are instances of;
 //! * [`RangeAnalysis`] — SCEV-lite value-range/stride analysis of
 //!   address operands, used to refine [`AliasAnalysis`];
 //! * [`Uniformity`] — which values are provably uniform or provably
@@ -25,6 +22,10 @@
 //!   lowered artifact (dead intervals, write-before-read windows,
 //!   checkpoint-covered protection windows), translation-validated
 //!   against the replay engine by the conformance harness.
+//!
+//! The fixpoint analyses are instances of the monotone worklist solver
+//! in [`penny_ir::dataflow`], most over [`penny_ir::BitSet`] states;
+//! both live in `penny-ir` so the IR verifier shares them.
 //!
 //! # Examples
 //!
@@ -52,10 +53,8 @@
 //! ```
 
 pub mod alias;
-pub mod bitset;
 pub mod cd;
 pub mod ctx;
-pub mod dataflow;
 pub mod dom;
 pub mod liveness;
 pub mod loops;
@@ -66,10 +65,8 @@ pub mod uniform;
 pub mod vulnerability;
 
 pub use alias::{AliasAnalysis, AliasOptions, MemAccess, Sym};
-pub use bitset::BitSet;
 pub use cd::{ControlDep, ControlDeps};
 pub use ctx::AnalysisCtx;
-pub use dataflow::{solve, Direction, Lattice, Solution, Transfer};
 pub use dom::Dominators;
 pub use liveness::Liveness;
 pub use loops::{Loop, LoopInfo};

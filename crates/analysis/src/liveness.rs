@@ -4,10 +4,7 @@
 //! that are **live into** a region boundary are exactly the ones whose
 //! values a re-execution must be able to restore.
 
-use penny_ir::{BlockId, Kernel, Loc, VReg};
-
-use crate::bitset::BitSet;
-use crate::dataflow::{solve, Direction, Transfer};
+use penny_ir::{solve, BitSet, BlockId, Direction, Kernel, Loc, Transfer, VReg};
 
 /// Per-block upward-exposed uses and (unguarded) defs, precomputed so
 /// the worklist solver's block transfer is a pair of set operations.
@@ -56,10 +53,6 @@ impl Transfer for LiveTransfer {
 
     fn direction(&self) -> Direction {
         Direction::Backward
-    }
-
-    fn boundary(&self, _kernel: &Kernel) -> BitSet {
-        BitSet::new(self.nregs)
     }
 
     fn init(&self, _kernel: &Kernel) -> BitSet {

@@ -10,7 +10,7 @@
 //! refinement, power-of-two strides via `shl`, and launch-geometry
 //! bounds for the special registers.
 //!
-//! The analysis is a forward instance of the [`crate::dataflow`]
+//! The analysis is a forward instance of the [`penny_ir::dataflow`]
 //! framework. Joins widen `hi` up (and `lo` down) a power-of-two
 //! ladder, so ascending chains are short and the solver terminates
 //! quickly even for unbounded loop counters; branch refinement on the
@@ -23,10 +23,9 @@
 //! performs.
 
 use penny_ir::{
-    BlockId, Cmp, Inst, Kernel, Loc, MemSpace, Op, Operand, Special, Type, VReg,
+    solve, BlockId, Cmp, Direction, Inst, Kernel, Lattice, Loc, MemSpace, Op, Operand,
+    Special, Transfer, Type, VReg,
 };
-
-use crate::dataflow::{solve, Direction, Lattice, Transfer};
 
 const U32_MAX: i64 = u32::MAX as i64;
 
@@ -507,10 +506,6 @@ impl Transfer for RangeTransfer {
 
     fn direction(&self) -> Direction {
         Direction::Forward
-    }
-
-    fn boundary(&self, kernel: &Kernel) -> RangeEnv {
-        RangeEnv::new(kernel.vreg_limit() as usize)
     }
 
     fn init(&self, kernel: &Kernel) -> RangeEnv {

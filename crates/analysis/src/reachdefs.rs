@@ -5,10 +5,7 @@
 //! definitions of `r` that reach a region boundary where `r` is live-in
 //! are exactly the LUPs needing checkpoints.
 
-use penny_ir::{BlockId, InstId, Kernel, Loc, VReg};
-
-use crate::bitset::BitSet;
-use crate::dataflow::{solve, Direction, Transfer};
+use penny_ir::{solve, BitSet, BlockId, Direction, InstId, Kernel, Loc, Transfer, VReg};
 
 /// One definition site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,10 +80,6 @@ impl Transfer for DefTransfer {
 
     fn direction(&self) -> Direction {
         Direction::Forward
-    }
-
-    fn boundary(&self, _kernel: &Kernel) -> BitSet {
-        BitSet::new(self.nd)
     }
 
     fn init(&self, _kernel: &Kernel) -> BitSet {

@@ -33,14 +33,15 @@
 use std::collections::HashSet;
 use std::fmt;
 
-use penny_ir::{InstId, Kernel, Loc, MemSpace, Op, VReg};
+use penny_ir::{
+    solve, undefined_reads, BitSet, Direction, InstId, Kernel, Loc, MemSpace, Op, Orphans,
+    Transfer, UndefinedRead, VReg,
+};
 
 use crate::alias::{
     AliasAnalysis, AliasOptions, Sym, NTERMS, T_CTAX, T_CTAY, T_GIDX, T_NTIDX, T_TIDX,
     T_TIDY,
 };
-use crate::bitset::BitSet;
-use crate::dataflow::{solve, Direction, Lattice, Transfer};
 use crate::range::{RangeAnalysis, RangeHints};
 use crate::uniform::Uniformity;
 
@@ -257,10 +258,6 @@ impl Transfer for IntervalTransfer<'_> {
         Direction::Forward
     }
 
-    fn boundary(&self, _kernel: &Kernel) -> BitSet {
-        BitSet::new(self.n)
-    }
-
     fn init(&self, _kernel: &Kernel) -> BitSet {
         BitSet::new(self.n)
     }
@@ -411,100 +408,22 @@ fn prove_lane_conflict(
 // uninit-read
 // ---------------------------------------------------------------------------
 
-/// Must-be-initialized set: `all` is the optimistic "every register"
-/// element every non-boundary block starts from; join is intersection.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct MustEnv {
-    all: bool,
-    set: BitSet,
-}
-
-impl Lattice for MustEnv {
-    fn join(&mut self, other: &Self) -> bool {
-        if other.all {
-            return false;
-        }
-        if self.all {
-            self.all = false;
-            self.set = other.set.clone();
-            return true;
-        }
-        let before = self.set.len();
-        self.set.intersect_with(&other.set);
-        self.set.len() != before
-    }
-}
-
-struct InitTransfer {
-    nregs: usize,
-}
-
-impl Transfer for InitTransfer {
-    type State = MustEnv;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    fn boundary(&self, _kernel: &Kernel) -> MustEnv {
-        // Nothing is initialized at kernel entry.
-        MustEnv { all: false, set: BitSet::new(self.nregs) }
-    }
-
-    fn init(&self, _kernel: &Kernel) -> MustEnv {
-        MustEnv { all: true, set: BitSet::new(self.nregs) }
-    }
-
-    fn apply(&self, kernel: &Kernel, b: penny_ir::BlockId, state: &mut MustEnv) {
-        for inst in &kernel.block(b).insts {
-            // Lenient: a guarded def counts as initializing, so the
-            // common predicated set-then-use idiom stays clean. The
-            // check targets registers with *no* reaching def at all.
-            if let Some(d) = inst.def() {
-                state.set.insert(d.index());
-            }
-        }
-    }
-}
-
 fn check_uninit_reads(kernel: &Kernel, out: &mut Vec<Diagnostic>) {
-    let t = InitTransfer { nregs: kernel.vreg_limit() as usize };
-    let sol = solve(kernel, &t);
     let mut flagged: HashSet<VReg> = HashSet::new();
-    for b in kernel.block_ids() {
-        let env = &sol.entry[b.index()];
-        if env.all {
-            continue; // unreachable block
+    for UndefinedRead { block, idx, reg } in undefined_reads(kernel, Orphans::Unreached) {
+        if !flagged.insert(reg) {
+            continue;
         }
-        let mut init = env.set.clone();
-        let blk = kernel.block(b);
-        for (idx, inst) in blk.insts.iter().enumerate() {
-            for u in inst.uses() {
-                if !init.contains(u.index()) && flagged.insert(u) {
-                    out.push(diag(
-                        kernel,
-                        UNINIT_READ,
-                        Severity::Error,
-                        Loc { block: b, idx },
-                        format!("{u} is read here but not initialized on every path"),
-                    ));
-                }
+        let (idx, message) = match idx {
+            Some(idx) => {
+                (idx, format!("{reg} is read here but not initialized on every path"))
             }
-            if let Some(d) = inst.def() {
-                init.insert(d.index());
-            }
-        }
-        if let Some(p) = blk.term.pred() {
-            if !init.contains(p.index()) && flagged.insert(p) {
-                out.push(diag(
-                    kernel,
-                    UNINIT_READ,
-                    Severity::Error,
-                    Loc { block: b, idx: blk.insts.len().saturating_sub(1) },
-                    format!("branch predicate {p} is not initialized on every path"),
-                ));
-            }
-        }
+            None => (
+                kernel.block(block).insts.len().saturating_sub(1),
+                format!("branch predicate {reg} is not initialized on every path"),
+            ),
+        };
+        out.push(diag(kernel, UNINIT_READ, Severity::Error, Loc { block, idx }, message));
     }
 }
 
@@ -730,6 +649,24 @@ mod tests {
             &LintOptions::default(),
         );
         assert_eq!(names(&d), vec![UNINIT_READ], "{d:?}");
+    }
+
+    /// One must-defined analysis, two rules for a block no path from
+    /// the entry reaches: the verifier starts a block without
+    /// predecessors from the empty set and rejects its read, while
+    /// `uninit-read` skips it. (The parser renumbers registers densely,
+    /// so the location is asserted, not the register name.)
+    #[test]
+    fn unreached_block_fails_validation_but_not_uninit_read() {
+        let k = parse_kernel(
+            ".kernel k\nentry:\n mov.u32 %r1, 1\n ret\ndead:\n add.u32 %r2, %r0, 1\n ret\n",
+        )
+        .expect("parse");
+        let dead = k.block_ids().find(|&b| k.block(b).label == "dead").expect("dead block");
+        let e = penny_ir::validate(&k).expect_err("a read with no definition at all");
+        assert_eq!(e.loc, Some(Loc { block: dead, idx: 0 }), "{e}");
+        let diags = lint_kernel(&k, &LintOptions::default());
+        assert!(!names(&diags).contains(&UNINIT_READ), "{diags:?}");
     }
 
     #[test]

@@ -25,11 +25,11 @@
 //! `Varying`, and the dataflow re-runs until the forced set stabilises.
 
 use penny_ir::{
-    BlockId, Inst, Kernel, Loc, MemSpace, Op, Operand, Special, Terminator, VReg,
+    solve, BlockId, Direction, Inst, Kernel, Lattice, Loc, MemSpace, Op, Operand, Special,
+    Terminator, Transfer, VReg,
 };
 
 use crate::cd::ControlDeps;
-use crate::dataflow::{solve, Direction, Lattice, Transfer};
 
 /// Lane-uniformity of a value (a chain lattice, join = max).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -156,10 +156,6 @@ impl Transfer for UniTransfer<'_> {
 
     fn direction(&self) -> Direction {
         Direction::Forward
-    }
-
-    fn boundary(&self, kernel: &Kernel) -> UniEnv {
-        UniEnv::new(kernel.vreg_limit() as usize)
     }
 
     fn init(&self, kernel: &Kernel) -> UniEnv {

@@ -35,13 +35,19 @@
 //!   (translation validation; see `DESIGN.md` §15). `--shard I/N`
 //!   covers only sample positions `pos % N == I`; shard reports merge
 //!   bit-identically into the unsharded report
-//!   (`penny_bench::conformance::merge_reports`). The run exits 1, after
-//!   every pair, if a site failed to recover, a static claim was
-//!   contradicted, or a report did not answer (cover or prune) exactly
-//!   the positions its shard owns.
+//!   (`penny_bench::conformance::merge_reports`).
 //! * `vulnerability` — the analytic static profile: per workload ×
 //!   scheme pruned-site fractions, plus a per-register residual-exposure
 //!   (AVF-style) ranking for the deep-sweep workloads.
+//!
+//! Exit status, set after every pair has run and every file is
+//! written: 0 clean; 1 (`penny_bench::herd::EXIT_VERDICT`) a site
+//! failed to recover or a static claim was contradicted, with every
+//! report complete; 2 a usage error, before any work; 3
+//! (`penny_bench::herd::EXIT_INCOMPLETE`) a report did not answer
+//! (cover or prune) exactly the positions its shard owns. `penny-herd`
+//! merges the reports of a shard that exits 0 or 1 and retries any
+//! other.
 //!
 //! File flags (`penny-herd` passes all three to its shard processes;
 //! see `DESIGN.md` §16):
@@ -59,6 +65,7 @@
 use std::sync::Arc;
 
 use penny_bench::conformance::Shard;
+use penny_bench::herd::{EXIT_INCOMPLETE, EXIT_VERDICT};
 use penny_bench::{conformance, recstore, report, SchemeId, StaticMode};
 use penny_obs::MemRecorder;
 use penny_sim::GpuConfig;
@@ -175,12 +182,19 @@ fn main() {
     let pairs: Vec<(&str, SchemeId)> =
         ws.iter().flat_map(|&w| ss.iter().map(move |&s| (w, s))).collect();
 
-    let mut conformance_failed = false;
+    // The worst status of any run: an incomplete report outranks a
+    // failed verdict.
+    let mut status = 0;
     for t in targets {
         match t {
             "conformance" => {
-                conformance_failed |=
-                    conformance_cmd(&pairs, budget, shard, mode, report_json.as_deref());
+                status = status.max(conformance_cmd(
+                    &pairs,
+                    budget,
+                    shard,
+                    mode,
+                    report_json.as_deref(),
+                ));
             }
             "vulnerability" => vulnerability_cmd(),
             figure => print!("{}", report::render_target(figure).expect("checked above")),
@@ -199,8 +213,8 @@ fn main() {
         }
         std::fs::write(path, out).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
     }
-    if conformance_failed {
-        std::process::exit(1);
+    if status != 0 {
+        std::process::exit(status);
     }
 }
 
@@ -212,9 +226,10 @@ const DEEP_SWEEP_SCHEMES: [SchemeId; 4] =
     [SchemeId::Penny, SchemeId::BoltGlobal, SchemeId::BoltAuto, SchemeId::IGpu];
 
 /// `conformance`: sweeps each pair's share of `shard` through the
-/// snapshot/replay engine. Returns whether any site failed, any static
-/// claim was contradicted, or any report missed a position its shard
-/// owns (the caller exits nonzero *after* the report JSON and
+/// snapshot/replay engine. Returns the run's exit status:
+/// [`EXIT_INCOMPLETE`] if any report missed a position its shard owns,
+/// else [`EXIT_VERDICT`] if any site failed or any static claim was
+/// contradicted, else 0 (the caller exits *after* the report JSON and
 /// observability spans are flushed).
 fn conformance_cmd(
     pairs: &[(&str, SchemeId)],
@@ -222,7 +237,7 @@ fn conformance_cmd(
     shard: Shard,
     mode: StaticMode,
     report_json: Option<&str>,
-) -> bool {
+) -> i32 {
     conformance::prewarm(pairs, mode);
     println!(
         "== Conformance deep sweep (budget {}, shard {}/{}{}) ==",
@@ -235,7 +250,7 @@ fn conformance_cmd(
             StaticMode::Validate => ", static-validate",
         }
     );
-    let mut failed = false;
+    let mut status = 0;
     let mut reports = Vec::with_capacity(pairs.len());
     for &(abbr, scheme) in pairs {
         let r =
@@ -261,16 +276,18 @@ fn conformance_cmd(
                 shard.index,
                 shard.count
             );
-            failed = true;
+            status = EXIT_INCOMPLETE;
         }
-        failed |= !r.failures.is_empty() || r.static_disagreements > 0;
+        if !r.failures.is_empty() || r.static_disagreements > 0 {
+            status = status.max(EXIT_VERDICT);
+        }
         reports.push(r);
     }
     if let Some(path) = report_json {
         let json = penny_bench::json::reports_to_json(&reports);
         std::fs::write(path, json).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
     }
-    failed
+    status
 }
 
 /// `vulnerability`: the analytic static profile — per workload × scheme

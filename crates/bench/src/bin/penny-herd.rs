@@ -35,8 +35,14 @@
 //! * `--eval PATH` — the shard binary (default: `penny-eval` next to
 //!   this executable). Tests point this at crash-injecting wrappers.
 //!
-//! Exit status: 0 clean; 1 site failures or a `--check-against`
-//! mismatch; 2 usage errors; 3 campaign completed but partial.
+//! A shard that exits 0, or 1 with every report complete (a site failed
+//! or a static claim was contradicted), is merged with its failures; a
+//! shard that crashes, is killed, or exits otherwise (3: a report missed
+//! positions the shard owns) is retried.
+//!
+//! Exit status: 0 clean; 1 site failures, static disagreements or a
+//! `--check-against` mismatch; 2 usage errors; 3 campaign completed but
+//! partial.
 
 use std::path::PathBuf;
 use std::time::Duration;

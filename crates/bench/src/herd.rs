@@ -9,8 +9,8 @@
 //!
 //! * each shard gets a per-attempt wall-clock **timeout** (hung shards
 //!   are killed, not waited on forever);
-//! * a crashed, killed, or nonzero-exit shard is **retried** with
-//!   exponential backoff, up to a bounded attempt count — determinism
+//! * a crashed or killed shard, or one whose report is incomplete, is
+//!   **retried** with exponential backoff, up to a bounded attempt count — determinism
 //!   makes retries safe, since a shard re-run reproduces its report
 //!   byte-for-byte;
 //! * a shard that exhausts its retries is dropped and the campaign
@@ -23,10 +23,13 @@
 //!
 //! Shard processes exchange data through files: each writes its
 //! reports as versioned JSON (`--report-json`, [`crate::json`]) which
-//! the driver parses and merges with [`merge_reports`]. A shard that
-//! exits 0 but leaves a missing or unparsable report file is treated
-//! exactly like a crash (it is retried) — the merge layer never sees
-//! half-written data. With a shared `--recording-store` directory the
+//! the driver parses and merges with [`merge_reports`]. The exit status
+//! says whether the file is whole: 0 or [`EXIT_VERDICT`] (sites failed
+//! or a static claim was contradicted, and the reports record it) are
+//! merged; any other status, such as [`EXIT_INCOMPLETE`], a crash or a
+//! kill, is retried. So is a mergeable status with a missing or
+//! unparsable report file — the merge layer never sees half-written
+//! data. With a shared `--recording-store` directory the
 //! shards also share fault-free recordings content-addressed by
 //! [`penny_cache::recording_key`]. Concurrent cold shards may each
 //! record the same (workload, scheme) pair: nothing coordinates them
@@ -52,6 +55,15 @@ use crate::conformance::{
     merge_reports, merge_reports_allow_missing, ConformanceReport, MergeError,
 };
 use crate::runner::SchemeId;
+
+/// `penny-eval` exit status when every report is complete but records a
+/// failed site or a contradicted static claim: the reports merge, and
+/// their failures with them.
+pub const EXIT_VERDICT: i32 = 1;
+
+/// `penny-eval` exit status when a report did not answer exactly the
+/// positions its shard owns: its counts cannot merge.
+pub const EXIT_INCOMPLETE: i32 = 3;
 
 /// What to run: the campaign matrix plus the supervision policy.
 #[derive(Debug, Clone)]
@@ -254,25 +266,24 @@ fn check_spec(spec: &CampaignSpec) -> Result<(), String> {
 /// How one finished attempt ended (for the retry decision and the
 /// shard span).
 enum AttemptEnd {
-    /// Exit 0 and a parsable report file.
+    /// Exit 0 or [`EXIT_VERDICT`], and a parsable report file.
     Ok(Vec<ConformanceReport>),
     /// Anything else, with a human-readable cause.
     Failed(String),
 }
 
 /// Harvests a finished attempt: checks the exit status, then parses the
-/// report file — an exit-0 shard with missing/corrupt output is a
+/// report file — a mergeable status with missing/corrupt output is a
 /// failure too (and therefore retried).
 fn harvest(
     spec: &CampaignSpec,
     index: u32,
     status: std::process::ExitStatus,
 ) -> AttemptEnd {
-    if !status.success() {
-        return match status.code() {
-            Some(code) => AttemptEnd::Failed(format!("exit code {code}")),
-            None => AttemptEnd::Failed("killed by signal".into()),
-        };
+    match status.code() {
+        Some(0 | EXIT_VERDICT) => {}
+        Some(code) => return AttemptEnd::Failed(format!("exit code {code}")),
+        None => return AttemptEnd::Failed("killed by signal".into()),
     }
     let path = report_path(&spec.out_dir, index);
     let text = match std::fs::read_to_string(&path) {

@@ -1,7 +1,8 @@
 //! End-to-end tests for the `penny-herd` shard driver: crash-injected
 //! retry reproducing the unsharded report byte-for-byte, graceful
-//! degradation to a labelled partial report, and warm recording-store
-//! reuse across a whole campaign.
+//! degradation to a labelled partial report, warm recording-store
+//! reuse across a whole campaign, and failed sites merged as a verdict
+//! rather than retried as a crash.
 #![cfg(unix)]
 
 use std::path::{Path, PathBuf};
@@ -174,5 +175,42 @@ fn hung_shard_is_killed_by_the_timeout() {
     // With no survivors there is nothing to merge — but the campaign
     // still completes and reports itself partial via the shard list.
     assert!(outcome.merged.is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn failing_sites_are_a_verdict_that_merges_not_a_crash() {
+    let dir = scratch("verdict");
+    let budget = 64;
+    // The unprotected negative control: sites fail to recover, so each
+    // shard exits 1 with a complete report. That is merged at once, not
+    // retried.
+    let mut s = spec(&dir, budget, 2);
+    s.schemes = vec![SchemeId::Baseline];
+    let eval = PathBuf::from(env!("CARGO_BIN_EXE_penny-eval"));
+    let template = CommandTemplate { program: eval.clone(), args: Vec::new() };
+    let outcome = run_campaign(&s, &template).expect("campaign");
+    assert!(!outcome.partial, "a failed verdict is not a lost shard");
+    assert!(outcome.failed_shards().is_empty());
+    assert!(outcome.shards.iter().all(|s| s.attempts == 1), "nothing is retried");
+    let merged = &outcome.merged[0];
+    assert!(merged.missing_shards.is_empty());
+    assert!(!merged.report.failures.is_empty(), "the merge keeps the failures");
+    let unsharded = run_conformance("MT", SchemeId::Baseline, budget);
+    assert_eq!(render_report(&merged.report), render_report(&unsharded));
+
+    // The driver binary reports the failed sites with exit status 1.
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_penny-herd"))
+        .args(["--workloads", "MT", "--schemes", "Baseline", "--budget", "64"])
+        .args(["--shards", "2", "--jobs", "1", "--eval"])
+        .arg(&eval)
+        .arg("--out")
+        .arg(dir.join("bin"))
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .status()
+        .expect("run penny-herd");
+    assert_eq!(status.code(), Some(1));
+
     let _ = std::fs::remove_dir_all(&dir);
 }

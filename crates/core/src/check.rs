@@ -30,7 +30,7 @@
 use std::collections::{HashMap, HashSet};
 
 use penny_analysis::{AliasAnalysis, AliasOptions, ControlDeps, Liveness, ReachingDefs};
-use penny_ir::{Color, InstId, Kernel, Loc, RegionId, VReg};
+use penny_ir::{Color, InstId, Kernel, Lattice, Loc, RegionId, VReg};
 
 use crate::checkpoint::region_live_ins;
 use crate::meta::SlotRef;
@@ -38,6 +38,7 @@ use crate::pruning::slice_builder::{
     reaching_checkpoints, Assume, BuildResult, SliceBuilder,
 };
 use crate::regionmap::RegionMap;
+use crate::regions::ActiveLoads;
 
 /// The protection invariant a violation names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,78 +229,34 @@ pub fn check_idempotence(
     alias: AliasOptions,
 ) -> Result<(), InvariantViolation> {
     let aa = AliasAnalysis::compute(kernel, alias);
-    // "Active loads" forward dataflow: loads executed since the last
-    // region boundary (union over paths — any path exposes the hazard).
-    let load_ids: Vec<InstId> =
-        kernel.locs().filter(|(_, i)| i.op.reads_memory()).map(|(_, i)| i.id).collect();
-    let index_of: HashMap<InstId, usize> =
-        load_ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-    let n = kernel.num_blocks();
-    let mut in_sets: Vec<HashSet<usize>> = vec![HashSet::new(); n];
-    let order = kernel.reverse_post_order();
-    let preds = kernel.predecessors();
-    let transfer = |b: penny_ir::BlockId, s: &mut HashSet<usize>| {
-        for inst in &kernel.block(b).insts {
-            if inst.region_entry().is_some() {
-                s.clear();
-            }
-            if inst.op.reads_memory() {
-                s.insert(index_of[&inst.id]);
-            }
-        }
-    };
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in &order {
-            let mut state = HashSet::new();
-            for &p in &preds[b.index()] {
-                let mut s = in_sets[p.index()].clone();
-                transfer(p, &mut s);
-                state.extend(s);
-            }
-            if state != in_sets[b.index()] {
-                in_sets[b.index()] = state;
-                changed = true;
-            }
-        }
-    }
+    let al = ActiveLoads::compute(kernel);
     // Walk each block and test every store against the active loads.
     for b in kernel.block_ids() {
-        let mut active = in_sets[b.index()].clone();
+        let mut active = al.entry[b.index()].clone();
         for (idx, inst) in kernel.block(b).insts.iter().enumerate() {
-            if inst.region_entry().is_some() {
-                active.clear();
-            }
-            if inst.op.writes_memory() {
-                if let Some(write) = aa.access(inst.id) {
-                    for &li in &active {
-                        let load = load_ids[li];
-                        if let Some(read) = aa.access(load) {
-                            if aa.may_antidep(read, write) {
-                                let load_loc = kernel
-                                    .find_inst(load)
-                                    .map(|l| format!("{l:?}"))
-                                    .unwrap_or_else(|| "<gone>".into());
-                                return Err(violation(
-                                    Invariant::RegionIdempotence,
-                                    format!(
-                                        "store `{}` at {:?} may overwrite memory read by \
-                                         load at {} in the same region; re-execution \
-                                         would not be idempotent",
-                                        inst.op.mnemonic(),
-                                        Loc { block: b, idx },
-                                        load_loc,
-                                    ),
-                                ));
-                            }
-                        }
+            if let Some(write) = aa.access(inst.id).filter(|_| inst.op.writes_memory()) {
+                for load in active.iter().map(|li| al.loads[li]) {
+                    let Some(read) = aa.access(load) else { continue };
+                    if aa.may_antidep(read, write) {
+                        let load_loc = kernel
+                            .find_inst(load)
+                            .map(|l| format!("{l:?}"))
+                            .unwrap_or_else(|| "<gone>".into());
+                        return Err(violation(
+                            Invariant::RegionIdempotence,
+                            format!(
+                                "store `{}` at {:?} may overwrite memory read by load at \
+                                 {} in the same region; re-execution would not be \
+                                 idempotent",
+                                inst.op.mnemonic(),
+                                Loc { block: b, idx },
+                                load_loc,
+                            ),
+                        ));
                     }
                 }
             }
-            if inst.op.reads_memory() {
-                active.insert(index_of[&inst.id]);
-            }
+            al.step(inst, &mut active);
         }
     }
     Ok(())
@@ -328,12 +285,11 @@ pub fn check_coverage(
     rm: &RegionMap,
     live_ins: &[Vec<VReg>],
 ) -> Result<(), InvariantViolation> {
-    let nregs = kernel.vreg_limit() as usize;
-    let n = kernel.num_blocks();
     // Forward must-dataflow; merge = elementwise max, so one stale path
     // poisons the join (`Stale` is the top of the per-register lattice).
-    let transfer = |b: penny_ir::BlockId, st: &mut Vec<Fresh>| {
-        for inst in &kernel.block(b).insts {
+    let undef = vec![Fresh::Undef; kernel.vreg_limit() as usize];
+    let states =
+        rm.states_at_markers(kernel, undef.clone(), undef, |inst, st: &mut Vec<Fresh>| {
             if inst.is_ckpt() {
                 st[inst.ckpt_reg().index()] = Fresh::Ckpted;
             } else if let Some(d) = inst.def() {
@@ -341,38 +297,8 @@ pub fn check_coverage(
                 // lanes, so it staledates the slot like any other.
                 st[d.index()] = Fresh::Stale;
             }
-        }
-    };
-    let mut in_states: Vec<Vec<Fresh>> = vec![vec![Fresh::Undef; nregs]; n];
-    let order = kernel.reverse_post_order();
-    let preds = kernel.predecessors();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in &order {
-            let mut state = vec![Fresh::Undef; nregs];
-            for &p in &preds[b.index()] {
-                let mut s = in_states[p.index()].clone();
-                transfer(p, &mut s);
-                for i in 0..nregs {
-                    state[i] = state[i].max(s[i]);
-                }
-            }
-            if state != in_states[b.index()] {
-                in_states[b.index()] = state;
-                changed = true;
-            }
-        }
-    }
-    for &(region, loc, _) in rm.markers() {
-        let mut st = in_states[loc.block.index()].clone();
-        for inst in &kernel.block(loc.block).insts[..loc.idx] {
-            if inst.is_ckpt() {
-                st[inst.ckpt_reg().index()] = Fresh::Ckpted;
-            } else if let Some(d) = inst.def() {
-                st[d.index()] = Fresh::Stale;
-            }
-        }
+        });
+    for (region, loc, st) in states {
         for &reg in &live_ins[region.index()] {
             if st[reg.index()] == Fresh::Stale {
                 return Err(violation(
@@ -389,6 +315,14 @@ pub fn check_coverage(
     Ok(())
 }
 
+impl Lattice for Fresh {
+    fn join(&mut self, other: &Fresh) -> bool {
+        let changed = *other > *self;
+        *self = (*self).max(*other);
+        changed
+    }
+}
+
 /// Per-register slot state for invariant 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Slot {
@@ -400,13 +334,16 @@ enum Slot {
     Conflict,
 }
 
-impl Slot {
-    fn merge(self, other: Slot) -> Slot {
-        match (self, other) {
+impl Lattice for Slot {
+    fn join(&mut self, other: &Slot) -> bool {
+        let merged = match (*self, *other) {
             (a, b) if a == b => a,
             (Slot::None, x) | (x, Slot::None) => x,
             _ => Slot::Conflict,
-        }
+        };
+        let changed = merged != *self;
+        *self = merged;
+        changed
     }
 }
 
@@ -422,53 +359,17 @@ pub fn check_slot_consistency(
     rm: &RegionMap,
     live_ins: &[Vec<VReg>],
 ) -> Result<(), InvariantViolation> {
-    let nregs = kernel.vreg_limit() as usize;
-    let n = kernel.num_blocks();
-    let transfer = |b: penny_ir::BlockId, st: &mut Vec<Slot>| {
-        for inst in &kernel.block(b).insts {
-            if inst.is_ckpt() {
-                if let Some(c) = inst.ckpt_color() {
-                    st[inst.ckpt_reg().index()] = Slot::One(c);
-                }
+    let entry = Some(vec![Slot::None; kernel.vreg_limit() as usize]);
+    let states =
+        rm.states_at_markers(kernel, None, entry, |inst, st: &mut Option<Vec<Slot>>| {
+            if let (Some(st), Some(c)) = (st, inst.ckpt_color()) {
+                st[inst.ckpt_reg().index()] = Slot::One(c);
             }
-        }
-    };
-    let mut in_states: Vec<Option<Vec<Slot>>> = vec![None; n];
-    in_states[kernel.entry.index()] = Some(vec![Slot::None; nregs]);
-    let order = kernel.reverse_post_order();
-    let preds = kernel.predecessors();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in &order {
-            let mut state: Option<Vec<Slot>> =
-                if b == kernel.entry { Some(vec![Slot::None; nregs]) } else { None };
-            for &p in &preds[b.index()] {
-                let Some(pin) = in_states[p.index()].clone() else { continue };
-                let mut pout = pin;
-                transfer(p, &mut pout);
-                state = Some(match state {
-                    None => pout,
-                    Some(s) => s.iter().zip(&pout).map(|(&a, &b)| a.merge(b)).collect(),
-                });
-            }
-            if state != in_states[b.index()] {
-                in_states[b.index()] = state;
-                changed = true;
-            }
-        }
-    }
+        });
     // Slot of each live-in at its region entry.
     let mut restore_slot: HashMap<(RegionId, VReg), Color> = HashMap::new();
-    for &(region, loc, _) in rm.markers() {
-        let Some(mut st) = in_states[loc.block.index()].clone() else { continue };
-        for inst in &kernel.block(loc.block).insts[..loc.idx] {
-            if inst.is_ckpt() {
-                if let Some(c) = inst.ckpt_color() {
-                    st[inst.ckpt_reg().index()] = Slot::One(c);
-                }
-            }
-        }
+    for (region, loc, st) in states {
+        let Some(st) = st else { continue };
         for &reg in &live_ins[region.index()] {
             match st[reg.index()] {
                 Slot::Conflict => {

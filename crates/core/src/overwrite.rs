@@ -19,7 +19,8 @@ use std::collections::{HashMap, HashSet};
 
 use penny_analysis::{AnalysisCtx, Liveness, ReachingDefs};
 use penny_ir::{
-    BlockId, Color, IdWatermark, InstId, Kernel, Loc, Op, Operand, RegionId, VReg,
+    BitSet, BlockId, Color, IdWatermark, InstId, Kernel, Lattice, Loc, Op, Operand,
+    RegionId, VReg,
 };
 
 use crate::regionmap::RegionMap;
@@ -470,7 +471,7 @@ struct ColorScratch {
 struct CfgState {
     /// Possible current regions at each block entry (mirrors
     /// `RegionMap::block_in` for the current kernel).
-    block_in: Vec<penny_analysis::BitSet>,
+    block_in: Vec<BitSet>,
     /// Instruction id → possible regions (mirrors `RegionMap::by_inst`).
     table: HashMap<InstId, Vec<RegionId>>,
 }
@@ -504,10 +505,7 @@ impl CfgCache {
         let Some(state) = self.state.as_mut() else { return };
         let mut s = state.block_in[loc.block.index()].clone();
         for inst in &kernel.block(loc.block).insts[..loc.idx] {
-            if let Some(r) = inst.region_entry() {
-                s.clear();
-                s.insert(r.index());
-            }
+            RegionMap::step(inst, &mut s);
         }
         state.table.insert(cp, s.iter().map(|i| RegionId(i as u32)).collect());
     }
@@ -887,64 +885,36 @@ pub fn restore_colors(
     live_ins: &[Vec<VReg>],
 ) -> HashMap<(RegionId, VReg), Option<Color>> {
     // Forward dataflow: color of the latest checkpoint per register.
-    let n = kernel.num_blocks();
-    let nregs = kernel.vreg_limit() as usize;
-    #[derive(Clone, PartialEq)]
-    struct St(Vec<Option<Color>>);
-    let transfer = |b: BlockId, st: &mut St| {
-        for inst in &kernel.block(b).insts {
-            if inst.is_ckpt() {
-                st.0[inst.ckpt_reg().index()] = inst.ckpt_color();
+    let entry = Some(vec![Latest(None); kernel.vreg_limit() as usize]);
+    let states =
+        rm.states_at_markers(kernel, None, entry, |inst, st: &mut Option<Vec<Latest>>| {
+            if let (Some(st), Some(c)) = (st, inst.ckpt_color()) {
+                st[inst.ckpt_reg().index()] = Latest(Some(c));
             }
-        }
-    };
-    let mut in_states: Vec<Option<St>> = vec![None; n];
-    in_states[kernel.entry.index()] = Some(St(vec![None; nregs]));
-    let order = kernel.reverse_post_order();
-    let preds = kernel.predecessors();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in &order {
-            let mut state: Option<St> =
-                if b == kernel.entry { Some(St(vec![None; nregs])) } else { None };
-            for &p in &preds[b.index()] {
-                let Some(pin) = in_states[p.index()].clone() else { continue };
-                let mut pout = pin;
-                transfer(p, &mut pout);
-                state = Some(match state {
-                    None => pout,
-                    Some(mut s) => {
-                        // Merge: disagreement -> poison with None.
-                        for i in 0..nregs {
-                            if s.0[i] != pout.0[i] {
-                                s.0[i] = None;
-                            }
-                        }
-                        s
-                    }
-                });
-            }
-            if state != in_states[b.index()] {
-                in_states[b.index()] = state;
-                changed = true;
-            }
-        }
-    }
-    // Read off the state at each marker.
+        });
     let mut out = HashMap::new();
-    for &(region, loc, _) in rm.markers() {
-        let Some(mut st) = in_states[loc.block.index()].clone() else { continue };
-        for inst in &kernel.block(loc.block).insts[..loc.idx] {
-            if inst.is_ckpt() {
-                st.0[inst.ckpt_reg().index()] = inst.ckpt_color();
-            }
-        }
+    for (region, _, st) in states {
+        let Some(st) = st else { continue };
         for &reg in &live_ins[region.index()] {
-            out.insert((region, reg), st.0[reg.index()]);
+            out.insert((region, reg), st[reg.index()].0);
         }
     }
     out
+}
+
+/// The color of a register's latest checkpoint; `None` where some path
+/// has none or paths disagree.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Latest(Option<Color>);
+
+impl Lattice for Latest {
+    fn join(&mut self, other: &Latest) -> bool {
+        let changed = self.0.is_some() && *self != *other;
+        if changed {
+            self.0 = None;
+        }
+        changed
+    }
 }
 
 #[cfg(test)]

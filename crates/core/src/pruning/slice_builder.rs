@@ -16,7 +16,7 @@
 use std::collections::{HashMap, HashSet};
 
 use penny_analysis::{AliasAnalysis, ControlDeps, ReachingDefs};
-use penny_ir::{InstId, Kernel, Loc, MemSpace, Op, Operand, RegionId, VReg};
+use penny_ir::{InstId, Kernel, Lattice, Loc, MemSpace, Op, Operand, RegionId, VReg};
 
 use crate::meta::{Slice, SliceInst, SlotRef};
 use crate::regionmap::RegionMap;
@@ -501,57 +501,41 @@ pub fn reaching_checkpoints(
     kernel: &Kernel,
     rm: &RegionMap,
 ) -> HashMap<(RegionId, VReg), Vec<InstId>> {
-    let n = kernel.num_blocks();
-    let nregs = kernel.vreg_limit() as usize;
-    type St = Vec<Vec<InstId>>; // per register: reaching cp set
-    let transfer = |kernel: &Kernel, b: penny_ir::BlockId, st: &mut St| {
-        for inst in &kernel.block(b).insts {
+    let none = vec![Reaching::default(); kernel.vreg_limit() as usize];
+    let states =
+        rm.states_at_markers(kernel, none.clone(), none, |inst, st: &mut Vec<Reaching>| {
             if inst.is_ckpt() {
-                st[inst.ckpt_reg().index()] = vec![inst.id];
+                st[inst.ckpt_reg().index()] = Reaching(vec![inst.id]);
             }
-        }
-    };
-    let mut in_states: Vec<St> = vec![vec![Vec::new(); nregs]; n];
-    let order = kernel.reverse_post_order();
-    let preds = kernel.predecessors();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in &order {
-            let mut state: St = vec![Vec::new(); nregs];
-            for &p in &preds[b.index()] {
-                let mut pout = in_states[p.index()].clone();
-                transfer(kernel, p, &mut pout);
-                for i in 0..nregs {
-                    for id in &pout[i] {
-                        if !state[i].contains(id) {
-                            state[i].push(*id);
-                        }
-                    }
-                }
-            }
-            for s in &mut state {
-                s.sort();
-            }
-            if state != in_states[b.index()] {
-                in_states[b.index()] = state;
-                changed = true;
-            }
-        }
-    }
+        });
     let mut out = HashMap::new();
-    for &(region, loc, _) in rm.markers() {
-        let mut st = in_states[loc.block.index()].clone();
-        for inst in &kernel.block(loc.block).insts[..loc.idx] {
-            if inst.is_ckpt() {
-                st[inst.ckpt_reg().index()] = vec![inst.id];
-            }
-        }
-        for (i, set) in st.iter().enumerate() {
-            if !set.is_empty() {
-                out.insert((region, VReg(i as u32)), set.clone());
+    for (region, _, st) in states {
+        for (i, set) in st.into_iter().enumerate() {
+            if !set.0.is_empty() {
+                out.insert((region, VReg(i as u32)), set.0);
             }
         }
     }
     out
+}
+
+/// The checkpoints of one register that may reach a point, sorted; the
+/// join is union.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Reaching(Vec<InstId>);
+
+impl Lattice for Reaching {
+    fn join(&mut self, other: &Reaching) -> bool {
+        let before = self.0.len();
+        for &id in &other.0 {
+            if !self.0.contains(&id) {
+                self.0.push(id);
+            }
+        }
+        if self.0.len() == before {
+            return false;
+        }
+        self.0.sort();
+        true
+    }
 }

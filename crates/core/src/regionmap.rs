@@ -8,8 +8,7 @@
 
 use std::collections::HashMap;
 
-use penny_analysis::BitSet;
-use penny_ir::{InstId, Kernel, Loc, RegionId};
+use penny_ir::{solve, BitSet, Inst, InstId, Kernel, Lattice, Loc, RegionId, Steps};
 
 /// Region membership analysis.
 #[derive(Debug, Clone)]
@@ -27,36 +26,42 @@ impl RegionMap {
     pub fn compute(kernel: &Kernel) -> RegionMap {
         let markers = crate::regions::markers(kernel);
         let nregions = markers.len();
-        let n = kernel.num_blocks();
-        let mut block_in = vec![BitSet::new(nregions); n];
-        let order = kernel.reverse_post_order();
-        let preds = kernel.predecessors();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in &order {
-                let mut state = BitSet::new(nregions);
-                for &p in &preds[b.index()] {
-                    let mut s = block_in[p.index()].clone();
-                    Self::transfer(kernel, p, &mut s);
-                    state.union_with(&s);
-                }
-                if state != block_in[b.index()] {
-                    block_in[b.index()] = state;
-                    changed = true;
-                }
-            }
-        }
+        let empty = BitSet::new(nregions);
+        let steps = Steps { init: empty.clone(), boundary: empty, step: Self::step };
+        let block_in = solve(kernel, &steps).entry;
         RegionMap { markers, block_in, nregions }
     }
 
-    fn transfer(kernel: &Kernel, b: penny_ir::BlockId, state: &mut BitSet) {
-        for inst in &kernel.block(b).insts {
-            if let Some(r) = inst.region_entry() {
-                state.clear();
-                state.insert(r.index());
-            }
+    /// The dataflow step: a marker replaces the state with its region.
+    pub(crate) fn step(inst: &Inst, state: &mut BitSet) {
+        if let Some(r) = inst.region_entry() {
+            state.clear();
+            state.insert(r.index());
         }
+    }
+
+    /// Solves a forward per-instruction analysis (see [`Steps`]) and
+    /// returns its state just before each region marker, in region
+    /// order.
+    pub(crate) fn states_at_markers<S: Lattice>(
+        &self,
+        kernel: &Kernel,
+        init: S,
+        boundary: S,
+        step: impl Fn(&Inst, &mut S),
+    ) -> Vec<(RegionId, Loc, S)> {
+        let steps = Steps { init, boundary, step };
+        let entry = solve(kernel, &steps).entry;
+        self.markers
+            .iter()
+            .map(|&(region, loc, _)| {
+                let mut state = entry[loc.block.index()].clone();
+                for inst in &kernel.block(loc.block).insts[..loc.idx] {
+                    (steps.step)(inst, &mut state);
+                }
+                (region, loc, state)
+            })
+            .collect()
     }
 
     /// Number of regions.
@@ -89,7 +94,7 @@ impl RegionMap {
         entry: &BitSet,
     ) -> BitSet {
         let mut s = entry.clone();
-        Self::transfer(kernel, b, &mut s);
+        kernel.block(b).insts.iter().for_each(|inst| Self::step(inst, &mut s));
         s
     }
 
@@ -105,12 +110,9 @@ impl RegionMap {
     /// starts).
     pub fn regions_at(&self, kernel: &Kernel, loc: Loc) -> Vec<RegionId> {
         let mut state = self.block_in[loc.block.index()].clone();
-        for inst in &kernel.block(loc.block).insts[..loc.idx] {
-            if let Some(r) = inst.region_entry() {
-                state.clear();
-                state.insert(r.index());
-            }
-        }
+        kernel.block(loc.block).insts[..loc.idx]
+            .iter()
+            .for_each(|i| Self::step(i, &mut state));
         state.iter().map(|i| RegionId(i as u32)).collect()
     }
 
@@ -125,10 +127,7 @@ impl RegionMap {
                     inst.id,
                     state.iter().map(|i| RegionId(i as u32)).collect::<Vec<_>>(),
                 );
-                if let Some(r) = inst.region_entry() {
-                    state.clear();
-                    state.insert(r.index());
-                }
+                Self::step(inst, &mut state);
             }
         }
         out

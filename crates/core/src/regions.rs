@@ -10,10 +10,10 @@
 //! a boundary right before an endangered store covers *every* path into
 //! that store, mirroring De Kruijf et al.'s approximation.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
-use penny_analysis::{AliasAnalysis, AliasOptions, BitSet};
-use penny_ir::{InstId, Kernel, Loc, Op, RegionId, Type};
+use penny_analysis::{AliasAnalysis, AliasOptions};
+use penny_ir::{solve, BitSet, Inst, InstId, Kernel, Loc, Op, RegionId, Steps, Type};
 
 /// Runs region formation, inserting `region` markers into the kernel.
 ///
@@ -91,74 +91,68 @@ pub fn form_regions(kernel: &mut Kernel, alias: AliasOptions) -> usize {
     renumber_regions(kernel)
 }
 
-/// Finds the first store reached by a may-anti-dependent load with no
-/// intervening region boundary.
-fn first_endangered_store(kernel: &Kernel, aa: &AliasAnalysis) -> Option<Loc> {
-    // "Active loads" dataflow: loads since the last boundary.
-    let load_ids: Vec<InstId> =
-        kernel.locs().filter(|(_, i)| i.op.reads_memory()).map(|(_, i)| i.id).collect();
-    let index_of: std::collections::HashMap<InstId, usize> =
-        load_ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-    let nl = load_ids.len();
-    let n = kernel.num_blocks();
-    let mut in_sets = vec![BitSet::new(nl); n];
-    let order = kernel.reverse_post_order();
-    let preds = kernel.predecessors();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in &order {
-            let mut state = BitSet::new(nl);
-            for &p in &preds[b.index()] {
-                // Out of predecessor = transfer over its body.
-                let mut s = in_sets[p.index()].clone();
-                transfer_block(kernel, p, &index_of, &mut s);
-                state.union_with(&s);
-            }
-            if state != in_sets[b.index()] {
-                in_sets[b.index()] = state;
-                changed = true;
-            }
+/// Loads executed since the last region boundary, per block entry: a
+/// forward may-analysis (union over paths, since any path exposes an
+/// anti-dependence). Region formation and invariant 1
+/// ([`crate::check::check_idempotence`]) scan it each in their own order.
+pub(crate) struct ActiveLoads {
+    /// The loads, in `Kernel::locs` order; a state holds their indices.
+    pub(crate) loads: Vec<InstId>,
+    index_of: HashMap<InstId, usize>,
+    /// Active loads at each block entry.
+    pub(crate) entry: Vec<BitSet>,
+}
+
+impl ActiveLoads {
+    pub(crate) fn compute(kernel: &Kernel) -> ActiveLoads {
+        let loads: Vec<InstId> =
+            kernel.locs().filter(|(_, i)| i.op.reads_memory()).map(|(_, i)| i.id).collect();
+        let index_of = loads.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+        let mut al = ActiveLoads { loads, index_of, entry: Vec::new() };
+        let empty = BitSet::new(al.loads.len());
+        let steps = Steps {
+            init: empty.clone(),
+            boundary: empty,
+            step: |i: &Inst, s: &mut BitSet| al.step(i, s),
+        };
+        al.entry = solve(kernel, &steps).entry;
+        al
+    }
+
+    /// Applies one instruction: a marker clears the set, a load joins it.
+    /// A store is checked against the set before its own step (an
+    /// atomic both reads and writes).
+    pub(crate) fn step(&self, inst: &Inst, active: &mut BitSet) {
+        if inst.region_entry().is_some() {
+            active.clear();
+        }
+        if inst.op.reads_memory() {
+            active.insert(self.index_of[&inst.id]);
         }
     }
-    // Scan for an endangered store in RPO (deterministic placement).
-    for &b in &order {
-        let mut active = in_sets[b.index()].clone();
+}
+
+/// Finds the first store reached by a may-anti-dependent load with no
+/// intervening region boundary, scanning in RPO so cut placement is
+/// deterministic.
+fn first_endangered_store(kernel: &Kernel, aa: &AliasAnalysis) -> Option<Loc> {
+    let al = ActiveLoads::compute(kernel);
+    for b in kernel.reverse_post_order() {
+        let mut active = al.entry[b.index()].clone();
         for (idx, inst) in kernel.block(b).insts.iter().enumerate() {
-            if inst.region_entry().is_some() {
-                active.clear();
-            }
             if inst.op.writes_memory() {
                 let write = aa.access(inst.id).expect("access summary");
                 for li in active.iter() {
-                    let read = aa.access(load_ids[li]).expect("load summary");
+                    let read = aa.access(al.loads[li]).expect("load summary");
                     if aa.may_antidep(read, write) {
                         return Some(Loc { block: b, idx });
                     }
                 }
             }
-            if inst.op.reads_memory() {
-                active.insert(index_of[&inst.id]);
-            }
+            al.step(inst, &mut active);
         }
     }
     None
-}
-
-fn transfer_block(
-    kernel: &Kernel,
-    b: penny_ir::BlockId,
-    index_of: &std::collections::HashMap<InstId, usize>,
-    state: &mut BitSet,
-) {
-    for inst in &kernel.block(b).insts {
-        if inst.region_entry().is_some() {
-            state.clear();
-        }
-        if inst.op.reads_memory() {
-            state.insert(index_of[&inst.id]);
-        }
-    }
 }
 
 /// Renumbers all region markers in reverse post-order; returns the count.

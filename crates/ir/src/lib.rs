@@ -16,7 +16,11 @@
 //!   ([`Op::RegionEntry`]);
 //! * a text [`parser`] / printer pair and a programmatic
 //!   [`KernelBuilder`];
-//! * a structural [`validate`] verifier.
+//! * a structural [`validate`] verifier;
+//! * the generic monotone [`dataflow`] solver every fixpoint analysis
+//!   of the compiler runs on, its dense [`BitSet`] state, and the
+//!   [`undefined_reads`] must-defined analysis the verifier and the
+//!   kernel sanitizer share.
 //!
 //! # Examples
 //!
@@ -42,8 +46,11 @@
 //! # }
 //! ```
 
+mod bitset;
 mod block;
 mod builder;
+pub mod dataflow;
+mod defined;
 mod inst;
 mod kernel;
 pub mod parser;
@@ -51,8 +58,11 @@ mod printer;
 mod types;
 mod validate;
 
+pub use bitset::BitSet;
 pub use block::{BasicBlock, Terminator};
 pub use builder::KernelBuilder;
+pub use dataflow::{solve, Direction, Lattice, Solution, Steps, Transfer};
+pub use defined::{undefined_reads, Orphans, UndefinedRead};
 pub use inst::{Guard, Inst, Op, Operand, MAX_SRCS};
 pub use kernel::{IdWatermark, Kernel, Module, Param};
 pub use parser::{parse_kernel, parse_module, ParseError};

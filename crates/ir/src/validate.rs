@@ -10,7 +10,8 @@ use std::fmt;
 use crate::block::Terminator;
 use crate::inst::{Inst, Op};
 use crate::kernel::Kernel;
-use crate::types::{Loc, Type, VReg};
+use crate::types::{Loc, Type};
+use crate::{Orphans, UndefinedRead};
 
 /// A verification failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -180,80 +181,20 @@ fn check_inst(kernel: &Kernel, loc: Loc, inst: &Inst) -> Result<(), ValidateErro
     Ok(())
 }
 
-/// Forward "definitely defined" dataflow; any use outside the defined set
-/// may read garbage, which we reject.
+/// Rejects the first read that some path reaches with no definition
+/// (see [`crate::undefined_reads`]); a non-entry block without
+/// predecessors starts from the empty set.
 fn check_defined_before_use(kernel: &Kernel) -> Result<(), ValidateError> {
-    let n = kernel.num_blocks();
-    let nregs = kernel.vreg_limit() as usize;
-    let full: HashSet<VReg> = (0..nregs as u32).map(VReg).collect();
-    let mut in_sets: Vec<HashSet<VReg>> = vec![full.clone(); n];
-    in_sets[kernel.entry.index()] = HashSet::new();
-    let rpo = kernel.reverse_post_order();
-    let preds = kernel.predecessors();
-    // Iterate to fixpoint: IN[b] = intersection of OUT[p]; OUT = IN + defs.
-    loop {
-        let mut changed = false;
-        for &b in &rpo {
-            let mut inb = if b == kernel.entry || preds[b.index()].is_empty() {
-                HashSet::new()
-            } else {
-                let mut it = preds[b.index()].iter();
-                let first = *it.next().expect("nonempty");
-                let mut acc = out_set(kernel, first, &in_sets);
-                for &p in it {
-                    let o = out_set(kernel, p, &in_sets);
-                    acc.retain(|r| o.contains(r));
-                }
-                acc
-            };
-            if b == kernel.entry {
-                inb = HashSet::new();
-            }
-            if inb != in_sets[b.index()] {
-                in_sets[b.index()] = inb;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
+    match crate::undefined_reads(kernel, Orphans::DefineNothing).first() {
+        None => Ok(()),
+        Some(&UndefinedRead { block, idx: Some(idx), reg }) => fail(
+            Some(Loc { block, idx }),
+            format!("register {reg} may be used before definition"),
+        ),
+        Some(&UndefinedRead { block, idx: None, reg }) => {
+            fail(None, format!("branch predicate {reg} in {block} may be undefined"))
         }
     }
-    for b in kernel.block_ids() {
-        let mut defined = in_sets[b.index()].clone();
-        for (idx, inst) in kernel.block(b).insts.iter().enumerate() {
-            for u in inst.uses() {
-                if !defined.contains(&u) {
-                    fail(
-                        Some(Loc { block: b, idx }),
-                        format!("register {u} may be used before definition"),
-                    )?;
-                }
-            }
-            if let Some(d) = inst.def() {
-                defined.insert(d);
-            }
-        }
-        if let Some(p) = kernel.block(b).term.pred() {
-            if !defined.contains(&p) {
-                fail(None, format!("branch predicate {p} in {b} may be undefined"))?;
-            }
-        }
-    }
-    Ok(())
-}
-
-fn out_set(
-    kernel: &Kernel,
-    b: crate::types::BlockId,
-    in_sets: &[HashSet<VReg>],
-) -> HashSet<VReg> {
-    let mut out = in_sets[b.index()].clone();
-    for inst in &kernel.block(b).insts {
-        if let Some(d) = inst.def() {
-            out.insert(d);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -261,7 +202,7 @@ mod tests {
     use super::*;
     use crate::builder::KernelBuilder;
     use crate::parser::parse_kernel;
-    use crate::types::{Cmp, MemSpace, Special};
+    use crate::types::{Cmp, MemSpace, Special, VReg};
 
     #[test]
     fn accepts_wellformed_kernel() {

@@ -8,6 +8,14 @@
 #      warnings denied — the evaluation suite must stay lint-clean;
 #   3. release build of the whole workspace;
 #   4. the root-package test suite (the tier-1 gate);
+#   4b. the analysis suites: the penny-ir, penny-analysis, penny-core
+#      and penny-workloads tests (the dataflow solver, the verifier and
+#      sanitizer sharing one must-defined analysis, the protection
+#      invariants of check_invariants, every workload validated and
+#      lint-clean, every truncation and bit flip of a corpus file a
+#      typed error), and the refinement suite (liveness and reaching
+#      definitions on the solver equal their reference fixpoints on
+#      every workload);
 #   5. the determinism/equivalence suites that pin every engine fast
 #      path — event-driven vs dense scheduling, --jobs fan-out of every
 #      overhead figure and the ablation, and the pre-decoded micro-op +
@@ -45,7 +53,7 @@
 #      and BS (each shard answers exactly the positions it owns);
 #   6b. the penny-herd orchestration gate: the supervised-shard test
 #      suite (crash-injected retry, partial degradation, timeout
-#      kill) and the recording-store suite (a damaged stored recording
+#      kill, failed sites merged as a verdict rather than retried) and the recording-store suite (a damaged stored recording
 #      is counted stale, recorded again and overwritten, with an
 #      unchanged report), then a 4-shard local MT campaign that must merge
 #      byte-identical to the unsharded run, then a warm re-run over
@@ -112,6 +120,12 @@ cargo build --release
 echo "==> tier-1: cargo test -q (root package)"
 cargo test -q
 
+echo "==> analyses: solver, verifier, sanitizer, invariants, corpus mutation"
+cargo test -q -p penny-ir -p penny-analysis -p penny-core -p penny-workloads
+
+echo "==> analyses: solver ports equal their reference fixpoints"
+cargo test --release -p penny-bench --test refinement
+
 echo "==> determinism: harness + engine fast paths"
 cargo test --release -p penny-bench --test determinism
 cargo test --release -p penny-bench --test batch_runner
@@ -136,7 +150,7 @@ cargo run -q --release -p penny-bench --bin penny-eval -- \
     conformance --workloads MT,STC,FW,BS --schemes Penny --budget all \
     --shard 1/2 > /dev/null
 
-echo "==> herd: supervised-shard suite (retry, partial, timeout)"
+echo "==> herd: supervised-shard suite (retry, partial, timeout, verdict)"
 cargo test --release -p penny-bench --test herd
 
 echo "==> herd: a damaged stored recording is stale and recorded again"
