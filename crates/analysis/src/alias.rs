@@ -30,7 +30,7 @@
 //!   depends on a particular launch geometry). Accesses whose address
 //!   ranges are provably at least an access width apart — by bounds or
 //!   by stride residue — cannot alias, and an address whose range sits
-//!   entirely at or above `reserved_base` is classified as a
+//!   entirely at or above [`GLOBAL_CKPT_BASE`] is classified as a
 //!   checkpoint-arena access even when its affine form is unknown.
 
 use std::collections::HashMap;
@@ -38,7 +38,7 @@ use std::collections::HashMap;
 use crate::range::{Range, RangeAnalysis, RangeHints};
 use penny_ir::{
     solve, BlockId, Direction, InstId, Kernel, Lattice, Loc, MemSpace, Op, Operand,
-    Special, Transfer, VReg,
+    Special, Transfer, VReg, GLOBAL_CKPT_BASE,
 };
 
 /// Options controlling conservatism.
@@ -48,11 +48,6 @@ pub struct AliasOptions {
     /// `restrict`-style assumption GPGPU kernels satisfy; documented in
     /// DESIGN.md).
     pub distinct_params: bool,
-    /// Start of the runtime-reserved address range (the checkpoint
-    /// arena). Absolute addresses at or above it never alias
-    /// parameter-derived pointers: the runtime allocates program data
-    /// strictly below it.
-    pub reserved_base: u32,
     /// Enable the range/base refinements: [`Sym::PtrAny`] base tracking
     /// and [`RangeAnalysis`]-backed address-range disjointness. Off, the
     /// analysis reproduces the original purely-affine behaviour.
@@ -61,11 +56,7 @@ pub struct AliasOptions {
 
 impl Default for AliasOptions {
     fn default() -> Self {
-        AliasOptions {
-            distinct_params: true,
-            reserved_base: 0xC000_0000,
-            range_refine: true,
-        }
+        AliasOptions { distinct_params: true, range_refine: true }
     }
 }
 
@@ -392,7 +383,7 @@ impl AliasAnalysis {
     fn in_reserved(&self, a: Sym) -> bool {
         match a {
             Sym::Aff(aff) => match aff.as_base_and_const() {
-                Some(c) => (c as u32) >= self.options.reserved_base,
+                Some(c) => (c as u32) >= GLOBAL_CKPT_BASE,
                 None => false,
             },
             _ => false,
@@ -403,7 +394,7 @@ impl AliasAnalysis {
     /// (with range refinement) an address range entirely above the base.
     fn access_in_reserved(&self, a: &MemAccess) -> bool {
         self.in_reserved(a.addr)
-            || matches!(a.range, Some(r) if r.lo >= self.options.reserved_base as i64)
+            || matches!(a.range, Some(r) if r.lo >= GLOBAL_CKPT_BASE as i64)
     }
 
     /// With refinement off, [`Sym::PtrAny`] degrades to [`Sym::Unknown`]

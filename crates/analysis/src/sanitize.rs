@@ -35,7 +35,7 @@ use std::fmt;
 
 use penny_ir::{
     solve, undefined_reads, BitSet, Direction, InstId, Kernel, Loc, MemSpace, Op, Orphans,
-    Transfer, UndefinedRead, VReg,
+    Transfer, UndefinedRead, VReg, GLOBAL_CKPT_BASE,
 };
 
 use crate::alias::{
@@ -114,25 +114,13 @@ impl fmt::Display for Diagnostic {
 }
 
 /// Sanitizer configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LintOptions {
     /// Launch-geometry hints; exact dimensions enable the race prover's
     /// lane enumeration.
     pub hints: RangeHints,
-    /// Start of the runtime-reserved checkpoint arena.
-    pub reserved_base: u32,
     /// Diagnostic names to suppress.
     pub allow: Vec<String>,
-}
-
-impl Default for LintOptions {
-    fn default() -> LintOptions {
-        LintOptions {
-            hints: RangeHints::default(),
-            reserved_base: AliasOptions::default().reserved_base,
-            allow: Vec::new(),
-        }
-    }
 }
 
 impl LintOptions {
@@ -156,7 +144,7 @@ pub fn lint_kernel(kernel: &Kernel, opts: &LintOptions) -> Vec<Diagnostic> {
     check_divergent_barriers(kernel, &uni, &mut diags);
     check_shared_races(kernel, &uni, opts, &mut diags);
     check_uninit_reads(kernel, &mut diags);
-    check_reserved_writes(kernel, &ranges, opts, &mut diags);
+    check_reserved_writes(kernel, &ranges, &mut diags);
     check_dead_checkpoints(kernel, &mut diags);
     diags.retain(|d| !opts.allow.iter().any(|a| a == d.name));
     diags.sort_by_key(|d| (d.loc.block.index(), d.loc.idx, d.name));
@@ -434,7 +422,6 @@ fn check_uninit_reads(kernel: &Kernel, out: &mut Vec<Diagnostic>) {
 fn check_reserved_writes(
     kernel: &Kernel,
     ranges: &RangeAnalysis,
-    opts: &LintOptions,
     out: &mut Vec<Diagnostic>,
 ) {
     for b in kernel.block_ids() {
@@ -442,7 +429,7 @@ fn check_reserved_writes(
         for (idx, inst) in kernel.block(b).insts.iter().enumerate() {
             if inst.op.writes_memory() && inst.mem_space() == Some(MemSpace::Global) {
                 if let Some(r) = ranges.access_range(inst, &env) {
-                    if r.lo >= opts.reserved_base as i64 {
+                    if r.lo >= GLOBAL_CKPT_BASE as i64 {
                         out.push(diag(
                             kernel,
                             RESERVED_ARENA_WRITE,
@@ -451,7 +438,7 @@ fn check_reserved_writes(
                             format!(
                                 "global write to [{:#x}, {:#x}] lands in the reserved \
                                  checkpoint arena (base {:#x})",
-                                r.lo, r.hi, opts.reserved_base
+                                r.lo, r.hi, GLOBAL_CKPT_BASE
                             ),
                         ));
                     }

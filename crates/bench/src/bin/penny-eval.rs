@@ -68,7 +68,6 @@ use penny_bench::conformance::Shard;
 use penny_bench::herd::{EXIT_INCOMPLETE, EXIT_VERDICT};
 use penny_bench::{conformance, recstore, report, SchemeId, StaticMode};
 use penny_obs::MemRecorder;
-use penny_sim::GpuConfig;
 
 fn main() {
     let mut jobs: usize = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -119,10 +118,7 @@ fn main() {
                     .filter(|s| !s.is_empty())
                     .map(|tok| {
                         SchemeId::from_token(tok).unwrap_or_else(|| {
-                            die(&format!(
-                                "--schemes: unknown scheme {tok:?} (tokens: Baseline, \
-                                 IGpu, BoltGlobal, BoltAuto, Penny)"
-                            ))
+                            die(&format!("--schemes: {}", SchemeId::unknown_token(tok)))
                         })
                     })
                     .collect(),
@@ -318,7 +314,6 @@ fn vulnerability_cmd() {
 /// function of its content key, and in-flight dedup compiles each key
 /// at most once.
 fn prewarm_figures() {
-    let machine = GpuConfig::fermi().machine;
     let mut pairs = Vec::new();
     for scheme in [
         SchemeId::Baseline,
@@ -328,7 +323,7 @@ fn prewarm_figures() {
         SchemeId::Penny,
     ] {
         for w in penny_workloads::all() {
-            let cfg = scheme.config().with_launch(w.dims).with_machine(machine);
+            let cfg = scheme.config().with_launch(w.dims);
             pairs.push((w, cfg));
         }
     }

@@ -89,10 +89,7 @@ fn main() {
                 .filter(|s| !s.is_empty())
                 .map(|tok| {
                     SchemeId::from_token(tok).unwrap_or_else(|| {
-                        die(&format!(
-                            "--schemes: unknown scheme {tok:?} (tokens: Baseline, IGpu, \
-                             BoltGlobal, BoltAuto, Penny)"
-                        ))
+                        die(&format!("--schemes: {}", SchemeId::unknown_token(tok)))
                     })
                 })
                 .collect();

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! penny-prof [--workload ABBR]... [--all-workloads] [--corpus]
-//!            [--scheme NAME] [--jobs N] [--json] [--summary] [--check]
+//!            [--scheme TOKEN] [--jobs N] [--json] [--summary] [--check]
 //!            [--vulnerability] [--conformance BUDGET]
 //!            [--assert-share PASS:PCT]
 //! ```
@@ -16,8 +16,8 @@
 //! * `--corpus` — additionally profile the banked fuzz-regression
 //!   kernels under `corpus/` (opt-in: the evaluation share gates are
 //!   calibrated to the paper's 25 workloads);
-//! * `--scheme NAME` — compiler/RF scheme: `baseline`, `igpu`,
-//!   `bolt-global`, `bolt-auto`, or `penny` (default);
+//! * `--scheme TOKEN` — compiler/RF scheme, a `SchemeId` token:
+//!   `Baseline`, `IGpu`, `BoltGlobal`, `BoltAuto` or `Penny` (default);
 //! * `--jobs N` — fan the profiles across N harness workers
 //!   (default 1: serial profiling gives the least noisy timings);
 //! * `--json` — emit spans as JSONL on stdout (the default output);
@@ -56,17 +56,9 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_scheme(name: &str) -> SchemeId {
-    match name.to_lowercase().as_str() {
-        "baseline" => SchemeId::Baseline,
-        "igpu" => SchemeId::IGpu,
-        "bolt-global" | "bolt_global" => SchemeId::BoltGlobal,
-        "bolt-auto" | "bolt_auto" => SchemeId::BoltAuto,
-        "penny" => SchemeId::Penny,
-        other => die(&format!(
-            "unknown scheme `{other}` (baseline|igpu|bolt-global|bolt-auto|penny)"
-        )),
-    }
+/// Parses a positive integer, or exits 2 with `msg`.
+fn positive<T: std::str::FromStr + Default + PartialOrd>(v: &str, msg: &str) -> T {
+    v.parse().ok().filter(|n| *n > T::default()).unwrap_or_else(|| die(msg))
 }
 
 /// Spans collected for one workload.
@@ -82,14 +74,9 @@ struct Profiled {
 /// --workload STC`) is a cache hit and contributes only sim spans.
 fn profile(w: &Workload, scheme: SchemeId, vulnerability: bool) -> Profiled {
     let rec = MemRecorder::new();
-    let gpu_config = GpuConfig::fermi().with_rf(scheme.rf());
-    let cfg = scheme
-        .config()
-        .with_launch(w.dims)
-        .with_machine(gpu_config.machine)
-        .with_vulnerability(vulnerability);
+    let cfg = scheme.config().with_launch(w.dims).with_vulnerability(vulnerability);
     let protected = penny_bench::cache::compiled_with(w, &cfg, &rec);
-    let mut gpu = Gpu::new(gpu_config);
+    let mut gpu = Gpu::new(GpuConfig::fermi().with_rf(scheme.rf()));
     let launch = w.prepare(gpu.global_mut());
     gpu.run_observed(&protected, &launch, &rec)
         .unwrap_or_else(|e| die(&format!("{}: run: {e}", w.abbr)));
@@ -262,62 +249,36 @@ fn main() {
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        match a.as_str() {
-            "--workload" => {
-                abbrs.push(args.next().unwrap_or_else(|| die("--workload needs an ABBR")))
+        // A valued flag, as `--name VALUE` or `--name=VALUE`.
+        let mut flag = |name: &str| -> Option<String> {
+            if a == name {
+                Some(args.next().unwrap_or_else(|| die(&format!("{name} needs a value"))))
+            } else {
+                a.strip_prefix(&format!("{name}=")).map(str::to_string)
             }
-            "--all-workloads" => all = true,
-            "--corpus" => corpus = true,
-            "--scheme" => {
-                scheme = parse_scheme(
-                    &args.next().unwrap_or_else(|| die("--scheme needs a NAME")),
-                )
-            }
-            "--jobs" => {
-                jobs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| die("--jobs needs a positive integer"))
-            }
-            "--assert-share" => {
-                assert_share = Some(parse_assert_share(
-                    &args.next().unwrap_or_else(|| die("--assert-share needs PASS:PCT")),
-                ))
-            }
-            "--conformance" => {
-                conformance_budget = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| die("--conformance needs a positive budget")),
-                )
-            }
-            "--json" => json = true,
-            "--summary" => summary = true,
-            "--check" => check = true,
-            "--vulnerability" => vulnerability = true,
-            other => {
-                if let Some(v) = other.strip_prefix("--workload=") {
-                    abbrs.push(v.to_string());
-                } else if let Some(v) = other.strip_prefix("--scheme=") {
-                    scheme = parse_scheme(v);
-                } else if let Some(v) = other.strip_prefix("--jobs=") {
-                    jobs = v
-                        .parse()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| die("--jobs needs a positive integer"));
-                } else if let Some(v) = other.strip_prefix("--assert-share=") {
-                    assert_share = Some(parse_assert_share(v));
-                } else if let Some(v) = other.strip_prefix("--conformance=") {
-                    conformance_budget =
-                        Some(v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-                            die("--conformance needs a positive budget")
-                        }));
-                } else {
-                    die(&format!("unknown argument `{other}`"));
-                }
+        };
+        if let Some(v) = flag("--workload") {
+            abbrs.push(v);
+        } else if let Some(v) = flag("--scheme") {
+            scheme = SchemeId::from_token(&v).unwrap_or_else(|| {
+                die(&format!("--scheme: {}", SchemeId::unknown_token(&v)))
+            });
+        } else if let Some(v) = flag("--jobs") {
+            jobs = positive(&v, "--jobs needs a positive integer");
+        } else if let Some(v) = flag("--assert-share") {
+            assert_share = Some(parse_assert_share(&v));
+        } else if let Some(v) = flag("--conformance") {
+            conformance_budget =
+                Some(positive(&v, "--conformance needs a positive budget"));
+        } else {
+            match a.as_str() {
+                "--all-workloads" => all = true,
+                "--corpus" => corpus = true,
+                "--json" => json = true,
+                "--summary" => summary = true,
+                "--check" => check = true,
+                "--vulnerability" => vulnerability = true,
+                other => die(&format!("unknown argument `{other}`")),
             }
         }
     }

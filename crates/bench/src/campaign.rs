@@ -67,7 +67,7 @@ fn book(result: &mut CampaignResult, outcome: Result<(&RunStats, bool), &SimErro
 pub fn edc_campaign(scheme: Scheme, flips: u32, runs: u32, seed: u64) -> CampaignResult {
     let w = penny_workloads::by_abbr("MT").expect("MT workload");
     let gpu_config = GpuConfig::fermi().with_rf(RfProtection::Edc(scheme));
-    let config = PennyConfig::penny().with_launch(w.dims).with_machine(gpu_config.machine);
+    let config = PennyConfig::penny().with_launch(w.dims);
     let protected = crate::cache::compiled(&w, &config);
     let regs = protected.kernel.vreg_limit();
     let mut seeded = GlobalMemory::new();
@@ -223,7 +223,7 @@ pub fn render_multibit(results: &[CampaignResult]) -> String {
 pub fn error_rate_sensitivity() -> Vec<(u32, f64)> {
     let w = penny_workloads::by_abbr("MT").expect("MT");
     let gpu_config = GpuConfig::fermi();
-    let config = PennyConfig::penny().with_launch(w.dims).with_machine(gpu_config.machine);
+    let config = PennyConfig::penny().with_launch(w.dims);
     let protected = crate::cache::compiled(&w, &config);
     let regs = protected.kernel.vreg_limit();
 

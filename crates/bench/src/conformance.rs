@@ -1977,6 +1977,33 @@ mod tests {
         }
     }
 
+    /// The sweeps check the artifact the figures run: both compile for
+    /// the machine `GpuConfig::fermi()` simulates. The validator never
+    /// changes an artifact, so only the vulnerability map is turned off
+    /// to compare them.
+    #[test]
+    fn the_sweep_checks_the_artifact_the_figures_run() {
+        for w in penny_workloads::all() {
+            for scheme in
+                [SchemeId::Penny, SchemeId::BoltGlobal, SchemeId::BoltAuto, SchemeId::IGpu]
+            {
+                let swept =
+                    crate::cache::compiled(&w, &conformance_config(&w, scheme, false));
+                let gpu = GpuConfig::fermi().with_rf(scheme.rf());
+                let config = scheme.config();
+                let job = crate::runner::Job { workload: &w, config: &config, gpu: &gpu };
+                let figured = crate::cache::compiled(&w, &job.compile_config());
+                assert_eq!(
+                    penny_cache::fingerprint_protected(&swept),
+                    penny_cache::fingerprint_protected(&figured),
+                    "{} under {}",
+                    w.abbr,
+                    scheme.name()
+                );
+            }
+        }
+    }
+
     #[test]
     fn reproducer_is_a_pasteable_test() {
         let inj =

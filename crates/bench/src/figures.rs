@@ -239,9 +239,8 @@ pub struct PruneBreakdown {
 /// [`crate::runner::run_scheme`] compiles) instead of simulating it
 /// again.
 pub fn fig12() -> Vec<PruneBreakdown> {
-    let machine = GpuConfig::fermi().machine;
     parallel_map(&all(), |w| {
-        let config = SchemeId::Penny.config().with_launch(w.dims).with_machine(machine);
+        let config = SchemeId::Penny.config().with_launch(w.dims);
         let stats = crate::cache::compiled(w, &config).stats;
         let total = stats.total_checkpoints.max(1) as f64;
         let basic = stats.pruned_basic as f64 / total;

@@ -37,6 +37,13 @@ impl SchemeId {
         Self::ALL.iter().copied().find(|v| v.token() == s)
     }
 
+    /// The error for a token [`SchemeId::from_token`] rejects; it names
+    /// every accepted token.
+    pub fn unknown_token(token: &str) -> String {
+        let tokens = Self::ALL.map(SchemeId::token).join(", ");
+        format!("unknown scheme {token:?} (tokens: {tokens})")
+    }
+
     /// The CLI token accepted by [`SchemeId::from_token`].
     pub fn token(self) -> &'static str {
         match self {

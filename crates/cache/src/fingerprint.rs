@@ -58,9 +58,8 @@ fingerprint_via_debug!(
 
 impl Fingerprint for AliasOptions {
     fn fingerprint(&self, h: &mut Fnv64) {
-        let AliasOptions { distinct_params, reserved_base, range_refine } = *self;
+        let AliasOptions { distinct_params, range_refine } = *self;
         h.write_bool(distinct_params);
-        h.write_u32(reserved_base);
         h.write_bool(range_refine);
     }
 }

@@ -110,11 +110,8 @@ pub fn check_lint(
     kernel: &Kernel,
     config: &crate::PennyConfig,
 ) -> Result<(), crate::CompileError> {
-    let opts = penny_analysis::LintOptions {
-        hints: penny_analysis::RangeHints::launch(config.launch.block, config.launch.grid),
-        reserved_base: config.alias.reserved_base,
-        allow: Vec::new(),
-    };
+    let opts =
+        penny_analysis::LintOptions::for_launch(config.launch.block, config.launch.grid);
     let diags = penny_analysis::lint_kernel(kernel, &opts);
     if diags.is_empty() {
         return Ok(());

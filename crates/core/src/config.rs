@@ -76,7 +76,10 @@ pub struct MachineParams {
 }
 
 impl MachineParams {
-    /// Fermi-generation limits (Tesla C2050-like).
+    /// Fermi-generation limits (Tesla C2050-like), unscaled. No
+    /// simulated machine uses them (the simulator's Fermi preset runs
+    /// [`MachineParams::scaled_fermi`]); they anchor the occupancy
+    /// arithmetic's unit tests.
     pub fn fermi() -> MachineParams {
         MachineParams {
             regs_per_sm: 32 * 1024,
@@ -112,7 +115,8 @@ impl MachineParams {
         }
     }
 
-    /// Volta-generation limits (Titan V-like).
+    /// Volta-generation limits (Titan V-like), unscaled. Like
+    /// [`MachineParams::fermi`], no simulated machine uses them.
     pub fn volta() -> MachineParams {
         MachineParams {
             regs_per_sm: 64 * 1024,
@@ -215,7 +219,9 @@ pub struct PennyConfig {
     pub low_opts: bool,
     /// Alias-analysis options for region formation.
     pub alias: AliasOptions,
-    /// Machine limits for occupancy-aware storage assignment.
+    /// Machine limits for occupancy-aware storage assignment. Every
+    /// preset compiles for [`MachineParams::scaled_fermi`], the machine
+    /// the simulator's Fermi preset runs.
     pub machine: MachineParams,
     /// Launch geometry.
     pub launch: LaunchDims,
@@ -246,7 +252,7 @@ impl PennyConfig {
             pruning: PruningMode::Optimal,
             low_opts: true,
             alias: AliasOptions::default(),
-            machine: MachineParams::fermi(),
+            machine: MachineParams::scaled_fermi(),
             launch: LaunchDims::linear(4, 128),
             validate: false,
             lint: false,

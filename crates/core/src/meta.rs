@@ -5,12 +5,7 @@ use std::collections::HashMap;
 
 use penny_ir::{Cmp, InstId, Kernel, MemSpace, Op, RegionId, Special, Type, VReg};
 
-/// Base address of the reserved global-memory checkpoint arena.
-///
-/// The runtime (simulator) guarantees this region exists and is ECC
-/// protected — the stand-in for the CUDA-driver allocation the paper's
-/// runtime would perform.
-pub const GLOBAL_CKPT_BASE: u32 = 0xC000_0000;
+pub use penny_ir::GLOBAL_CKPT_BASE;
 
 /// A checkpoint storage slot: `index` words per thread within `space`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

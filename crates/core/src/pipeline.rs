@@ -450,7 +450,7 @@ fn compile_checkpointed(
         .iter()
         .filter_map(|(key, prov)| storage.slots.get(key).map(|fin| (*prov, *fin)))
         .collect();
-    let regions = remap_regions(regions, &remap, &storage.slots, &k, &rm)?;
+    let regions = remap_regions(regions, &remap)?;
 
     // ---- Code generation. ----
     let timer = SpanTimer::start(rec);
@@ -603,11 +603,7 @@ fn build_restores(
 fn remap_regions(
     regions: Vec<RegionInfo>,
     remap: &HashMap<SlotRef, SlotRef>,
-    final_slots: &HashMap<(VReg, usize), SlotRef>,
-    kernel: &Kernel,
-    rm: &RegionMap,
 ) -> Result<Vec<RegionInfo>, CompileError> {
-    let _ = (kernel, rm, final_slots);
     let map_slot = |s: SlotRef| -> Result<SlotRef, CompileError> {
         remap.get(&s).copied().ok_or_else(|| {
             CompileError::Internal(format!("slot {s:?} missing from final assignment"))

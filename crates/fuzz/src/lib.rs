@@ -392,12 +392,14 @@ pub fn run_gauntlet(spec: &KernelSpec, cfg: &FuzzConfig) -> GauntletOutcome {
 
     // Stages 3b/4b/5 — protected schemes: compile (skips tolerated),
     // differential fault-free + under fault plans, output vs golden.
+    let mut skipped = Vec::new();
     for &scheme in &cfg.schemes {
         out.counts.compiles += 1;
         let Some(protected) = gen::try_compile(&kernel, gauntlet_config(scheme, spec))
         else {
             out.counts.compile_skips += 1;
             out.all_schemes_compiled = false;
+            skipped.push(scheme);
             continue;
         };
         let regs = protected.kernel.vreg_limit().max(1);
@@ -445,8 +447,13 @@ pub fn run_gauntlet(spec: &KernelSpec, cfg: &FuzzConfig) -> GauntletOutcome {
     if cfg.conformance_budget > 0 && !cfg.conformance_schemes.is_empty() {
         let workload = spec_workload(spec, golden);
         for &scheme in &cfg.conformance_schemes {
-            if gen::try_compile(&kernel, gauntlet_config(scheme, spec)).is_none() {
-                continue; // already counted as a skip above when listed
+            // Stage 3b compiled (and counted) every listed scheme; only
+            // an unlisted one is compiled here.
+            if skipped.contains(&scheme)
+                || (!cfg.schemes.contains(&scheme)
+                    && gen::try_compile(&kernel, gauntlet_config(scheme, spec)).is_none())
+            {
+                continue;
             }
             let budget = cfg.conformance_budget;
             let report = match catch_unwind(AssertUnwindSafe(|| {

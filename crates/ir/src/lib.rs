@@ -68,5 +68,6 @@ pub use kernel::{IdWatermark, Kernel, Module, Param};
 pub use parser::{parse_kernel, parse_module, ParseError};
 pub use types::{
     AtomOp, BlockId, Cmp, Color, InstId, Loc, MemSpace, RegionId, Special, Type, VReg,
+    GLOBAL_CKPT_BASE,
 };
 pub use validate::{validate, ValidateError};

@@ -131,6 +131,16 @@ impl fmt::Display for Type {
     }
 }
 
+/// Base address of the reserved global-memory checkpoint arena.
+///
+/// The runtime (simulator) guarantees this region exists and is ECC
+/// protected — the stand-in for the arena the paper's runtime would
+/// allocate through CUDA — and allocates program data strictly below
+/// it. The compiler places global checkpoint slots here; the alias
+/// analysis and the sanitizer classify addresses at or above it as
+/// checkpoint-arena accesses.
+pub const GLOBAL_CKPT_BASE: u32 = 0xC000_0000;
+
 /// GPU memory spaces.
 ///
 /// `Global` and `Shared` are ECC-protected in the machine model (the paper

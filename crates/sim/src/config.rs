@@ -154,6 +154,11 @@ mod tests {
     }
 
     #[test]
+    fn the_compiler_targets_the_fermi_preset_by_default() {
+        assert_eq!(penny_core::PennyConfig::penny().machine, GpuConfig::fermi().machine);
+    }
+
+    #[test]
     fn latency_classes() {
         let f = GpuConfig::fermi();
         assert_eq!(f.latency_of(penny_ir::Op::Add), f.lat_alu);

@@ -144,8 +144,9 @@ impl fmt::Display for LoadError {
 
 impl Error for LoadError {}
 
-/// The body digest (see the module docs).
-fn digest(bytes: &[u8]) -> u64 {
+/// The body digest (see the module docs). Other on-disk artifacts reuse
+/// it: a banked corpus file carries this digest of its own bytes.
+pub fn digest(bytes: &[u8]) -> u64 {
     let mix = |h: u64, w: u64| (h ^ w).wrapping_mul(0x100_0000_01b3).rotate_left(23);
     let mut lanes = [0xcbf2_9ce4_8422_2325u64; 4];
     let mut blocks = bytes.chunks_exact(32);

@@ -4,9 +4,13 @@
 //! Each corpus file is a complete, self-describing workload. Metadata
 //! rides in `#`-prefixed lines (which the `penny-ir` parser strips as
 //! comments, so the *whole file* is also valid kernel assembly),
-//! followed by the kernel text:
+//! followed by the kernel text. The first line is a digest
+//! ([`penny_sim::persist::digest`], 16 lowercase hex digits) of every
+//! byte after it, so a damaged file is a [`CorpusError`], never a
+//! different workload:
 //!
 //! ```text
+//! # digest: 3f09a1c2d4e5b687
 //! # abbr: fzs-00c0ffee42
 //! # name: fuzz sparse sparse;ops=0,6;nnz=4;topo=0x1234
 //! # family: sparse
@@ -23,13 +27,42 @@
 //! drift: [`CorpusEntry::render`] and [`CorpusEntry::parse`] are exact
 //! inverses for well-formed entries.
 
+use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 use penny_core::LaunchDims;
 use penny_sim::gen::MemImage;
+use penny_sim::persist::digest;
 
 use crate::{Setup, Source, Suite, Verify, Workload};
+
+/// The first line of every corpus file, before the body's digest.
+const DIGEST_PREFIX: &str = "# digest: ";
+
+/// Why a corpus file did not load.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CorpusError {
+    /// The file does not open with a `# digest:` line.
+    MissingDigest,
+    /// The bytes after the `# digest:` line do not match it: the file
+    /// was damaged.
+    Corrupt,
+    /// A metadata line is malformed, or a required one is missing.
+    Malformed(String),
+}
+
+impl fmt::Display for CorpusError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CorpusError::MissingDigest => write!(f, "missing `# digest:` first line"),
+            CorpusError::Corrupt => write!(f, "file does not match its `# digest:` line"),
+            CorpusError::Malformed(m) => f.write_str(m),
+        }
+    }
+}
+
+impl std::error::Error for CorpusError {}
 
 /// A parsed (or to-be-rendered) corpus file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,7 +89,7 @@ pub struct CorpusEntry {
 }
 
 impl CorpusEntry {
-    /// Renders the committed file form.
+    /// Renders the committed file form: the digest line, then the body.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("# abbr: {}\n", self.abbr));
@@ -81,15 +114,29 @@ impl CorpusEntry {
         if !out.ends_with('\n') {
             out.push('\n');
         }
-        out
+        format!("{DIGEST_PREFIX}{:016x}\n{out}", digest(out.as_bytes()))
     }
 
-    /// Parses a corpus file.
+    /// Parses a corpus file, checking its digest before anything else.
     ///
     /// # Errors
     ///
-    /// Describes the first malformed or missing metadata line.
-    pub fn parse(text: &str) -> Result<CorpusEntry, String> {
+    /// [`CorpusError::MissingDigest`] or [`CorpusError::Corrupt`] for a
+    /// file whose digest line is absent or does not match, else
+    /// [`CorpusError::Malformed`] naming the first malformed or missing
+    /// metadata line.
+    pub fn parse(text: &str) -> Result<CorpusEntry, CorpusError> {
+        let (sum, body) = text
+            .strip_prefix(DIGEST_PREFIX)
+            .and_then(|rest| rest.split_once('\n'))
+            .ok_or(CorpusError::MissingDigest)?;
+        if sum != format!("{:016x}", digest(body.as_bytes())) {
+            return Err(CorpusError::Corrupt);
+        }
+        Self::parse_body(body).map_err(CorpusError::Malformed)
+    }
+
+    fn parse_body(text: &str) -> Result<CorpusEntry, String> {
         let mut abbr = None;
         let mut name = None;
         let mut family = None;
@@ -272,9 +319,20 @@ mod tests {
 
     #[test]
     fn missing_metadata_is_reported() {
-        let err = CorpusEntry::parse(".kernel k .params A\nentry:\n ret\n")
-            .expect_err("must fail");
-        assert!(err.contains("abbr"), "unexpected error: {err}");
+        let body = ".kernel k .params A\nentry:\n ret\n";
+        assert_eq!(CorpusEntry::parse(body), Err(CorpusError::MissingDigest));
+        let text = format!("{DIGEST_PREFIX}{:016x}\n{body}", digest(body.as_bytes()));
+        let err = CorpusEntry::parse(&text).expect_err("must fail");
+        assert!(err.to_string().contains("abbr"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn a_damaged_file_fails_its_digest() {
+        let text = sample().render();
+        let damaged = text.replace("0x1234", "0x1235");
+        assert_eq!(CorpusEntry::parse(&damaged), Err(CorpusError::Corrupt));
+        let stripped = text.split_once('\n').expect("digest line").1;
+        assert_eq!(CorpusEntry::parse(stripped), Err(CorpusError::MissingDigest));
     }
 
     #[test]

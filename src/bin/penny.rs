@@ -1,27 +1,30 @@
 //! `penny` — the command-line front end.
 //!
 //! ```text
-//! penny compile <file> [--scheme penny|bolt|bolt-global|igpu|none]
+//! penny compile <file> [--scheme Baseline|IGpu|BoltGlobal|BoltAuto|Penny]
 //!                      [--grid N] [--block N] [--emit]
 //! penny run     <file> [same flags] [--param V]... [--dump ADDR LEN]
 //!                      [--inject BLOCK,WARP,LANE,REG,BIT,AFTER]...
 //! penny check   <file>                 # parse + verify only
 //! ```
 //!
-//! Kernels are in the PTX-like assembly (see `penny::ir::parser`). `run`
-//! zero-fills device memory; use `--fill ADDR LEN SEED` to place
-//! deterministic pseudo-random inputs, `--dump ADDR LEN` to print memory
-//! after the launch.
+//! Kernels are in the PTX-like assembly (see `penny::ir::parser`).
+//! `--scheme` takes a `penny::eval::SchemeId` token (default `Penny`),
+//! which picks both the compiler configuration and the register-file
+//! protection `run` simulates. `run` zero-fills device memory; use
+//! `--fill ADDR LEN SEED` to place deterministic pseudo-random inputs,
+//! `--dump ADDR LEN` to print memory after the launch.
 
 use std::process::ExitCode;
 
-use penny::compiler::{compile, LaunchDims, PennyConfig};
+use penny::compiler::{compile, LaunchDims};
+use penny::eval::SchemeId;
 use penny::sim::{FaultPlan, Gpu, GpuConfig, Injection, LaunchConfig};
 
 struct Args {
     command: String,
     file: String,
-    scheme: String,
+    scheme: SchemeId,
     grid: u32,
     block: u32,
     emit: bool,
@@ -33,7 +36,7 @@ struct Args {
 
 fn usage() -> &'static str {
     "usage: penny <compile|run|check> <file.ptx> \
-     [--scheme penny|bolt|bolt-global|igpu|none] [--grid N] [--block N] \
+     [--scheme Baseline|IGpu|BoltGlobal|BoltAuto|Penny] [--grid N] [--block N] \
      [--emit] [--param V]... [--fill ADDR LEN SEED]... [--dump ADDR LEN]... \
      [--inject BLOCK,WARP,LANE,REG,BIT,AFTER]..."
 }
@@ -54,7 +57,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         command,
         file,
-        scheme: "penny".into(),
+        scheme: SchemeId::Penny,
         grid: 4,
         block: 32,
         emit: false,
@@ -66,7 +69,11 @@ fn parse_args() -> Result<Args, String> {
     while let Some(flag) = it.next() {
         let mut next = || it.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
-            "--scheme" => args.scheme = next()?,
+            "--scheme" => {
+                let token = next()?;
+                args.scheme = SchemeId::from_token(&token)
+                    .ok_or_else(|| SchemeId::unknown_token(&token))?;
+            }
             "--grid" => args.grid = parse_u32(&next()?)?,
             "--block" => args.block = parse_u32(&next()?)?,
             "--emit" => args.emit = true,
@@ -105,18 +112,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn config_for(scheme: &str, dims: LaunchDims) -> Result<PennyConfig, String> {
-    let cfg = match scheme {
-        "penny" => PennyConfig::penny(),
-        "bolt" => PennyConfig::bolt_auto(),
-        "bolt-global" => PennyConfig::bolt_global(),
-        "igpu" => PennyConfig::igpu(),
-        "none" => PennyConfig::unprotected(),
-        other => return Err(format!("unknown scheme `{other}`")),
-    };
-    Ok(cfg.with_launch(dims))
-}
-
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
@@ -148,10 +143,10 @@ fn run() -> Result<(), String> {
         }
         "compile" => {
             let dims = LaunchDims::linear(args.grid, args.block);
-            let cfg = config_for(&args.scheme, dims)?;
+            let cfg = args.scheme.config().with_launch(dims);
             let protected = compile(&kernel, &cfg).map_err(|e| e.to_string())?;
             let s = &protected.stats;
-            println!("scheme: {}", args.scheme);
+            println!("scheme: {}", args.scheme.token());
             println!("regions:            {}", s.regions);
             println!(
                 "checkpoints:        {} considered, {} committed",
@@ -176,7 +171,7 @@ fn run() -> Result<(), String> {
         }
         "run" => {
             let dims = LaunchDims::linear(args.grid, args.block);
-            let cfg = config_for(&args.scheme, dims)?;
+            let cfg = args.scheme.config().with_launch(dims);
             let protected = compile(&kernel, &cfg).map_err(|e| e.to_string())?;
             if args.params.len() != kernel.params.len() {
                 return Err(format!(
@@ -191,13 +186,7 @@ fn run() -> Result<(), String> {
                     args.params.len()
                 ));
             }
-            let gpu_config = match args.scheme.as_str() {
-                "none" => GpuConfig::fermi().with_rf(penny::sim::RfProtection::None),
-                "igpu" => GpuConfig::fermi()
-                    .with_rf(penny::sim::RfProtection::Ecc(penny::coding::Scheme::Secded)),
-                _ => GpuConfig::fermi(),
-            };
-            let mut gpu = Gpu::new(gpu_config);
+            let mut gpu = Gpu::new(GpuConfig::fermi().with_rf(args.scheme.rf()));
             for &(addr, len, seed) in &args.fills {
                 let mut rng = penny::workloads::util::XorShift32::new(seed);
                 let data: Vec<u32> = (0..len).map(|_| rng.next_u32() % 1000).collect();
