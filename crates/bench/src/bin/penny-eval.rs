@@ -66,7 +66,7 @@ use std::sync::Arc;
 
 use penny_bench::conformance::Shard;
 use penny_bench::herd::{EXIT_INCOMPLETE, EXIT_VERDICT};
-use penny_bench::{conformance, recstore, report, SchemeId, StaticMode};
+use penny_bench::{cli, conformance, out, outln, recstore, report, SchemeId, StaticMode};
 use penny_obs::MemRecorder;
 
 fn main() {
@@ -80,63 +80,21 @@ fn main() {
     let mut recording_store: Option<String> = None;
     let mut obs_jsonl: Option<String> = None;
     let mut targets: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
+    let mut args = cli::Args::from_env("penny-eval");
     while let Some(a) = args.next() {
-        let mut flag = |name: &str| -> Option<String> {
-            if a == name {
-                Some(args.next().unwrap_or_else(|| die(&format!("{name} needs a value"))))
-            } else {
-                a.strip_prefix(&format!("{name}=")).map(str::to_string)
-            }
-        };
-        if let Some(v) = flag("--jobs") {
-            jobs = positive(&v, "--jobs needs a positive integer");
-        } else if let Some(v) = flag("--shard") {
-            shard = Shard::parse(&v).unwrap_or_else(|e| die(&e.to_string()));
-        } else if let Some(v) = flag("--budget") {
-            budget = match v.as_str() {
-                "all" => u64::MAX,
-                n => positive(n, "--budget needs a positive integer or `all`"),
-            };
-        } else if let Some(v) = flag("--workloads") {
-            workloads = Some(
-                v.split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(|abbr| {
-                        if penny_workloads::by_abbr(abbr).is_none() {
-                            die(&format!("--workloads: unknown workload {abbr:?}"));
-                        }
-                        abbr.to_string()
-                    })
-                    .collect(),
-            );
-        } else if let Some(v) = flag("--schemes") {
-            schemes = Some(
-                v.split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(|tok| {
-                        SchemeId::from_token(tok).unwrap_or_else(|| {
-                            die(&format!("--schemes: {}", SchemeId::unknown_token(tok)))
-                        })
-                    })
-                    .collect(),
-            );
-        } else if let Some(v) = flag("--report-json") {
-            report_json = Some(v);
-        } else if let Some(v) = flag("--recording-store") {
-            recording_store = Some(v);
-        } else if let Some(v) = flag("--obs-jsonl") {
-            obs_jsonl = Some(v);
-        } else if a == "--static-prune" {
-            mode = StaticMode::Prune;
-        } else if a == "--static-validate" {
-            mode = StaticMode::Validate;
-        } else if a.starts_with("--") {
-            die(&format!("unknown flag `{a}`"));
-        } else {
-            targets.push(a);
+        match a.as_str() {
+            "--jobs" => jobs = args.positive(),
+            "--shard" => shard = args.parse(Shard::parse),
+            "--budget" => budget = args.budget(),
+            "--workloads" => workloads = Some(args.workloads()),
+            "--schemes" => schemes = Some(args.schemes()),
+            "--report-json" => report_json = Some(args.value()),
+            "--recording-store" => recording_store = Some(args.value()),
+            "--obs-jsonl" => obs_jsonl = Some(args.value()),
+            "--static-prune" => mode = StaticMode::Prune,
+            "--static-validate" => mode = StaticMode::Validate,
+            _ if a.starts_with('-') => args.unknown(),
+            _ => targets.push(a),
         }
     }
     if targets.is_empty() {
@@ -154,12 +112,12 @@ fn main() {
         .iter()
         .find(|t| !is_figure(t) && !matches!(**t, "conformance" | "vulnerability"))
     {
-        die(&format!("unknown target `{t}` (try `all`)"));
+        cli::die(format!("unknown target `{t}` (try `all`)"));
     }
 
     if let Some(dir) = &recording_store {
         recstore::set_recording_store(std::path::Path::new(dir))
-            .unwrap_or_else(|e| die(&format!("--recording-store {dir}: {e}")));
+            .unwrap_or_else(|e| cli::die(format!("--recording-store {dir}: {e}")));
     }
     penny_bench::set_jobs(jobs);
     let recorder = obs_jsonl.as_ref().map(|_| {
@@ -193,7 +151,7 @@ fn main() {
                 ));
             }
             "vulnerability" => vulnerability_cmd(),
-            figure => print!("{}", report::render_target(figure).expect("checked above")),
+            figure => out!("{}", report::render_target(figure).expect("checked above")),
         }
     }
     if let (Some(path), Some(rec)) = (&obs_jsonl, &recorder) {
@@ -207,7 +165,8 @@ fn main() {
             out.push_str(&span.to_jsonl());
             out.push('\n');
         }
-        std::fs::write(path, out).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
+        std::fs::write(path, out)
+            .unwrap_or_else(|e| cli::die(format!("writing {path}: {e}")));
     }
     if status != 0 {
         std::process::exit(status);
@@ -235,7 +194,7 @@ fn conformance_cmd(
     report_json: Option<&str>,
 ) -> i32 {
     conformance::prewarm(pairs, mode);
-    println!(
+    outln!(
         "== Conformance deep sweep (budget {}, shard {}/{}{}) ==",
         if budget == u64::MAX { "all".to_string() } else { budget.to_string() },
         shard.index,
@@ -251,8 +210,8 @@ fn conformance_cmd(
     for &(abbr, scheme) in pairs {
         let r =
             conformance::run_conformance_static_sharded(abbr, scheme, budget, mode, shard);
-        print!("{}", conformance::render_report(&r));
-        println!(
+        out!("{}", conformance::render_report(&r));
+        outln!(
             "       work: {} forks, {} snapshots, {} pages copied, {} insts replayed \
              ({} cold)",
             r.work.forks,
@@ -281,7 +240,8 @@ fn conformance_cmd(
     }
     if let Some(path) = report_json {
         let json = penny_bench::json::reports_to_json(&reports);
-        std::fs::write(path, json).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
+        std::fs::write(path, json)
+            .unwrap_or_else(|e| cli::die(format!("writing {path}: {e}")));
     }
     status
 }
@@ -292,17 +252,17 @@ fn conformance_cmd(
 fn vulnerability_cmd() {
     const SCHEMES: [SchemeId; 4] =
         [SchemeId::IGpu, SchemeId::BoltGlobal, SchemeId::BoltAuto, SchemeId::Penny];
-    println!("== Static vulnerability profile (site fractions of the full fault space) ==");
+    outln!("== Static vulnerability profile (site fractions of the full fault space) ==");
     for w in penny_workloads::all() {
         for scheme in SCHEMES {
             let p = penny_bench::static_profile(w.abbr, scheme);
-            print!("{}", penny_bench::render_profile(&p, 0));
+            out!("{}", penny_bench::render_profile(&p, 0));
         }
     }
-    println!("== Per-register residual exposure (deep-sweep workloads, Penny) ==");
+    outln!("== Per-register residual exposure (deep-sweep workloads, Penny) ==");
     for abbr in DEEP_SWEEP_WORKLOADS {
         let p = penny_bench::static_profile(abbr, SchemeId::Penny);
-        print!("{}", penny_bench::render_profile(&p, 4));
+        out!("{}", penny_bench::render_profile(&p, 4));
     }
 }
 
@@ -328,14 +288,4 @@ fn prewarm_figures() {
         }
     }
     let _ = penny_bench::cache::compile_batch(&pairs);
-}
-
-/// Parses a positive integer, or exits 2 with `msg`.
-fn positive<T: std::str::FromStr + Default + PartialOrd>(v: &str, msg: &str) -> T {
-    v.parse().ok().filter(|n| *n > T::default()).unwrap_or_else(|| die(msg))
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("penny-eval: {msg}");
-    std::process::exit(2);
 }

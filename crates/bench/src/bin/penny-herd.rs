@@ -11,7 +11,7 @@
 //! Usage:
 //!
 //! ```text
-//! penny-herd [--workloads A,B] [--schemes X,Y] [--budget N]
+//! penny-herd [--workloads A,B] [--schemes X,Y] [--budget N|all]
 //!            [--shards N] [--jobs N] [--timeout SECS] [--retries N]
 //!            [--backoff-ms MS] [--out DIR] [--recording-store DIR]
 //!            [--check-against FILE] [--eval PATH]
@@ -20,7 +20,8 @@
 //! * `--workloads` / `--schemes` — the campaign matrix (defaults:
 //!   `MT` under `Penny`). Scheme tokens: `Baseline`, `IGpu`,
 //!   `BoltGlobal`, `BoltAuto`, `Penny`.
-//! * `--budget` — samples per pair, split across the shards.
+//! * `--budget` — samples per pair, split across the shards (default
+//!   2000; `all` sweeps every site).
 //! * `--shards` — shard process count (default 4).
 //! * `--timeout` — per-attempt wall-clock limit (default 600 s).
 //! * `--retries` — re-runs after a failed attempt (default 2);
@@ -47,8 +48,8 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use penny_bench::herd::{CampaignSpec, CommandTemplate};
-use penny_bench::{conformance, SchemeId};
+use penny_bench::herd::CampaignSpec;
+use penny_bench::{cli, conformance, out, SchemeId};
 
 fn main() {
     let mut spec = CampaignSpec {
@@ -62,73 +63,26 @@ fn main() {
         backoff: Duration::from_millis(250),
         out_dir: PathBuf::from("herd-out"),
         recording_store: None,
-        shard_obs: true,
     };
-    let mut template = CommandTemplate::penny_eval();
+    let mut eval = sibling_penny_eval();
     let mut check_against: Option<String> = None;
-    let mut args = std::env::args().skip(1);
+    let mut args = cli::Args::from_env("penny-herd");
     while let Some(a) = args.next() {
-        let mut flag = |name: &str| -> Option<String> {
-            if a == name {
-                Some(args.next().unwrap_or_else(|| die(&format!("{name} needs a value"))))
-            } else {
-                a.strip_prefix(&format!("{name}=")).map(str::to_string)
-            }
-        };
-        if let Some(v) = flag("--workloads") {
-            spec.workloads = v
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(String::from)
-                .collect();
-        } else if let Some(v) = flag("--schemes") {
-            spec.schemes = v
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(|tok| {
-                    SchemeId::from_token(tok).unwrap_or_else(|| {
-                        die(&format!("--schemes: {}", SchemeId::unknown_token(tok)))
-                    })
-                })
-                .collect();
-        } else if let Some(v) = flag("--budget") {
-            spec.budget =
-                v.parse().unwrap_or_else(|_| die("--budget needs a non-negative integer"));
-        } else if let Some(v) = flag("--shards") {
-            spec.shards =
-                v.parse().unwrap_or_else(|_| die("--shards needs a positive integer"));
-        } else if let Some(v) = flag("--jobs") {
-            spec.jobs_per_shard =
-                v.parse().unwrap_or_else(|_| die("--jobs needs a positive integer"));
-        } else if let Some(v) = flag("--timeout") {
-            spec.timeout = Duration::from_secs(
-                v.parse().unwrap_or_else(|_| die("--timeout needs seconds")),
-            );
-        } else if let Some(v) = flag("--retries") {
-            spec.retries = v.parse().unwrap_or_else(|_| die("--retries needs an integer"));
-        } else if let Some(v) = flag("--backoff-ms") {
-            spec.backoff = Duration::from_millis(
-                v.parse().unwrap_or_else(|_| die("--backoff-ms needs milliseconds")),
-            );
-        } else if let Some(v) = flag("--out") {
-            spec.out_dir = PathBuf::from(v);
-        } else if let Some(v) = flag("--recording-store") {
-            spec.recording_store = Some(PathBuf::from(v));
-        } else if let Some(v) = flag("--check-against") {
-            check_against = Some(v);
-        } else if let Some(v) = flag("--eval") {
-            template.program = PathBuf::from(v);
-        } else {
-            die(&format!("unknown argument {a:?}"));
+        match a.as_str() {
+            "--workloads" => spec.workloads = args.workloads(),
+            "--schemes" => spec.schemes = args.schemes(),
+            "--budget" => spec.budget = args.budget(),
+            "--shards" => spec.shards = args.positive(),
+            "--jobs" => spec.jobs_per_shard = args.positive(),
+            "--timeout" => spec.timeout = Duration::from_secs(args.integer()),
+            "--retries" => spec.retries = args.integer(),
+            "--backoff-ms" => spec.backoff = Duration::from_millis(args.integer()),
+            "--out" => spec.out_dir = PathBuf::from(args.value()),
+            "--recording-store" => spec.recording_store = Some(PathBuf::from(args.value())),
+            "--check-against" => check_against = Some(args.value()),
+            "--eval" => eval = PathBuf::from(args.value()),
+            _ => args.unknown(),
         }
-    }
-    if spec.shards == 0 {
-        die("--shards needs a positive integer");
-    }
-    if spec.jobs_per_shard == 0 {
-        die("--jobs needs a positive integer");
     }
 
     eprintln!(
@@ -136,13 +90,13 @@ fn main() {
          timeout {:?}, {} retries",
         spec.workloads.len(),
         spec.schemes.len(),
-        spec.budget,
+        if spec.budget == u64::MAX { "all".to_string() } else { spec.budget.to_string() },
         spec.shards,
         spec.timeout,
         spec.retries
     );
-    let outcome = penny_bench::herd::run_campaign(&spec, &template)
-        .unwrap_or_else(|e| die(&format!("campaign failed: {e}")));
+    let outcome = penny_bench::herd::run_campaign(&spec, &eval)
+        .unwrap_or_else(|e| cli::die(format!("campaign failed: {e}")));
 
     let mut site_failures = false;
     let mut rendered = String::new();
@@ -157,7 +111,7 @@ fn main() {
         }
         site_failures |= !m.report.failures.is_empty() || m.report.static_disagreements > 0;
     }
-    print!("{rendered}");
+    out!("{rendered}");
     for s in &outcome.shards {
         if s.attempts > 1 || !s.ok {
             eprintln!(
@@ -172,9 +126,9 @@ fn main() {
 
     if let Some(path) = check_against {
         let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| die(&format!("reading {path}: {e}")));
+            .unwrap_or_else(|e| cli::die(format!("reading {path}: {e}")));
         let reference = penny_bench::json::reports_from_json(&text)
-            .unwrap_or_else(|e| die(&format!("parsing {path}: {e}")));
+            .unwrap_or_else(|e| cli::die(format!("parsing {path}: {e}")));
         let expected: String = reference.iter().map(conformance::render_report).collect();
         if outcome.partial {
             eprintln!("penny-herd: check-against skipped — campaign is partial");
@@ -195,7 +149,11 @@ fn main() {
     }
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("penny-herd: {msg}");
-    std::process::exit(2);
+/// The `penny-eval` binary next to this executable (the layout `cargo
+/// build` gives sibling binaries).
+fn sibling_penny_eval() -> PathBuf {
+    std::env::current_exe()
+        .ok()
+        .and_then(|p| p.parent().map(|d| d.join("penny-eval")))
+        .unwrap_or_else(|| PathBuf::from("penny-eval"))
 }

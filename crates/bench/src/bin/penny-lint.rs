@@ -26,6 +26,7 @@
 //! checkpoint counts (see `penny_bench::refinement`).
 
 use penny_analysis::{lint_kernel, Diagnostic, LintOptions, Severity};
+use penny_bench::{cli, out, outln};
 use penny_core::LaunchDims;
 use penny_ir::Kernel;
 use penny_obs::json::escape;
@@ -45,58 +46,46 @@ fn main() {
     let mut names: Vec<String> = Vec::new();
     let mut launch: Option<LaunchDims> = None;
 
-    let mut args = std::env::args().skip(1);
+    let mut args = cli::Args::from_env("penny-lint");
     while let Some(a) = args.next() {
         match a.as_str() {
             "--all-workloads" => all_workloads = true,
             "--deny-warnings" => deny_warnings = true,
             "--json" => json = true,
             "--refinement-table" => refinement_table = true,
-            "--allow" => {
-                let n = args.next().unwrap_or_else(|| die("--allow needs a name"));
-                allow.push(n);
-            }
-            other if other.starts_with("--allow=") => {
-                allow.push(other["--allow=".len()..].to_string());
-            }
-            "--launch" => {
-                let v = args.next().unwrap_or_else(|| die("--launch needs dimensions"));
-                launch = Some(parse_launch(&v));
-            }
-            other if other.starts_with("--launch=") => {
-                launch = Some(parse_launch(&other["--launch=".len()..]));
-            }
-            other if other.starts_with('-') => {
-                die(&format!("unknown flag `{other}`"));
-            }
-            other => names.push(other.to_string()),
+            "--allow" => allow.push(args.value()),
+            "--launch" => launch = Some(args.parse(parse_launch)),
+            _ if a.starts_with('-') => args.unknown(),
+            _ => names.push(a),
         }
     }
     if !all_workloads && names.is_empty() && !refinement_table {
-        die("nothing to lint (try --all-workloads)");
+        cli::die("nothing to lint (try --all-workloads)");
     }
 
     let mut targets: Vec<Target> = Vec::new();
     if all_workloads {
         for w in penny_workloads::all_with_corpus() {
-            let kernel =
-                w.kernel().unwrap_or_else(|e| die(&format!("workload {}: {e}", w.abbr)));
+            let kernel = w
+                .kernel()
+                .unwrap_or_else(|e| cli::die(format!("workload {}: {e}", w.abbr)));
             targets.push(Target { label: w.abbr.to_string(), kernel, dims: Some(w.dims) });
         }
     }
     for name in &names {
         if let Some(w) = penny_workloads::by_abbr(name) {
-            let kernel =
-                w.kernel().unwrap_or_else(|e| die(&format!("workload {}: {e}", w.abbr)));
+            let kernel = w
+                .kernel()
+                .unwrap_or_else(|e| cli::die(format!("workload {}: {e}", w.abbr)));
             targets.push(Target { label: w.abbr.to_string(), kernel, dims: Some(w.dims) });
         } else {
             let src = std::fs::read_to_string(name).unwrap_or_else(|e| {
-                die(&format!(
+                cli::die(format!(
                     "`{name}` is neither a workload abbreviation nor a readable file: {e}"
                 ))
             });
             let kernel = penny_ir::parse_kernel(&src)
-                .unwrap_or_else(|e| die(&format!("{name}: parse error: {e}")));
+                .unwrap_or_else(|e| cli::die(format!("{name}: parse error: {e}")));
             targets.push(Target { label: name.clone(), kernel, dims: launch });
         }
     }
@@ -116,15 +105,15 @@ fn main() {
                 Severity::Warning => warnings += 1,
             }
             if json {
-                println!("{}", to_json(&t.label, d));
+                outln!("{}", to_json(&t.label, d));
             } else {
-                println!("{}: {d}", t.label);
+                outln!("{}: {d}", t.label);
             }
         }
     }
 
     if refinement_table {
-        print!("{}", penny_bench::render_refinement(&penny_bench::refinement_comparison()));
+        out!("{}", penny_bench::render_refinement(&penny_bench::refinement_comparison()));
     }
 
     if !json && !targets.is_empty() {
@@ -138,24 +127,17 @@ fn main() {
     }
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("penny-lint: {msg}");
-    std::process::exit(2);
-}
-
 /// `BX[,BY[,GX[,GY]]]` — omitted dimensions default to 1.
-fn parse_launch(s: &str) -> LaunchDims {
+fn parse_launch(s: &str) -> Result<LaunchDims, String> {
     let mut dims = [1u32; 4];
     let parts: Vec<&str> = s.split(',').collect();
-    if parts.is_empty() || parts.len() > 4 {
-        die(&format!("bad --launch `{s}` (want BX[,BY[,GX[,GY]]])"));
+    if parts.len() > 4 {
+        return Err(format!("bad launch `{s}` (want BX[,BY[,GX[,GY]]])"));
     }
     for (slot, p) in dims.iter_mut().zip(&parts) {
-        *slot = p
-            .parse()
-            .unwrap_or_else(|_| die(&format!("bad --launch dimension `{p}` in `{s}`")));
+        *slot = p.parse().map_err(|_| format!("bad dimension `{p}` in `{s}`"))?;
     }
-    LaunchDims { block: (dims[0], dims[1]), grid: (dims[2], dims[3]) }
+    Ok(LaunchDims { block: (dims[0], dims[1]), grid: (dims[2], dims[3]) })
 }
 
 /// One diagnostic as a JSON object.

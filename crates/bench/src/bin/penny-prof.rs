@@ -37,6 +37,10 @@
 //!   total pass time exceeds `PCT` percent (CI guardrail; see
 //!   `scripts/verify.sh`).
 //!
+//! Exit status: 0 clean; 1 a schema violation under `--check` or a
+//! pass share over its `--assert-share` limit; 2 a usage error, or a
+//! workload that fails to run, check or recover.
+//!
 //! Compiles go through the content-addressed harness cache
 //! (`penny_bench::cache`) with this invocation's recorder, so each
 //! profile observes the one real (cache-miss) pipeline execution of its
@@ -46,20 +50,10 @@
 
 use std::collections::BTreeMap;
 
-use penny_bench::SchemeId;
+use penny_bench::{cli, out, SchemeId};
 use penny_obs::{MemRecorder, Span, SpanKind};
 use penny_sim::{Gpu, GpuConfig};
 use penny_workloads::Workload;
-
-fn die(msg: &str) -> ! {
-    eprintln!("penny-prof: {msg}");
-    std::process::exit(2);
-}
-
-/// Parses a positive integer, or exits 2 with `msg`.
-fn positive<T: std::str::FromStr + Default + PartialOrd>(v: &str, msg: &str) -> T {
-    v.parse().ok().filter(|n| *n > T::default()).unwrap_or_else(|| die(msg))
-}
 
 /// Spans collected for one workload.
 struct Profiled {
@@ -79,9 +73,9 @@ fn profile(w: &Workload, scheme: SchemeId, vulnerability: bool) -> Profiled {
     let mut gpu = Gpu::new(GpuConfig::fermi().with_rf(scheme.rf()));
     let launch = w.prepare(gpu.global_mut());
     gpu.run_observed(&protected, &launch, &rec)
-        .unwrap_or_else(|e| die(&format!("{}: run: {e}", w.abbr)));
+        .unwrap_or_else(|e| cli::die(format!("{}: run: {e}", w.abbr)));
     if !w.check(gpu.global()) {
-        die(&format!("{}: wrong output under {scheme:?}", w.abbr));
+        cli::die(format!("{}: wrong output under {scheme:?}", w.abbr));
     }
     Profiled { abbr: w.abbr, spans: rec.take() }
 }
@@ -247,39 +241,21 @@ fn main() {
     let mut conformance_budget: Option<u64> = None;
     let mut assert_share: Option<(String, f64)> = None;
 
-    let mut args = std::env::args().skip(1);
+    let mut args = cli::Args::from_env("penny-prof");
     while let Some(a) = args.next() {
-        // A valued flag, as `--name VALUE` or `--name=VALUE`.
-        let mut flag = |name: &str| -> Option<String> {
-            if a == name {
-                Some(args.next().unwrap_or_else(|| die(&format!("{name} needs a value"))))
-            } else {
-                a.strip_prefix(&format!("{name}=")).map(str::to_string)
-            }
-        };
-        if let Some(v) = flag("--workload") {
-            abbrs.push(v);
-        } else if let Some(v) = flag("--scheme") {
-            scheme = SchemeId::from_token(&v).unwrap_or_else(|| {
-                die(&format!("--scheme: {}", SchemeId::unknown_token(&v)))
-            });
-        } else if let Some(v) = flag("--jobs") {
-            jobs = positive(&v, "--jobs needs a positive integer");
-        } else if let Some(v) = flag("--assert-share") {
-            assert_share = Some(parse_assert_share(&v));
-        } else if let Some(v) = flag("--conformance") {
-            conformance_budget =
-                Some(positive(&v, "--conformance needs a positive budget"));
-        } else {
-            match a.as_str() {
-                "--all-workloads" => all = true,
-                "--corpus" => corpus = true,
-                "--json" => json = true,
-                "--summary" => summary = true,
-                "--check" => check = true,
-                "--vulnerability" => vulnerability = true,
-                other => die(&format!("unknown argument `{other}`")),
-            }
+        match a.as_str() {
+            "--workload" => abbrs.push(args.value()),
+            "--scheme" => scheme = args.scheme(),
+            "--jobs" => jobs = args.positive(),
+            "--assert-share" => assert_share = Some(args.parse(parse_assert_share)),
+            "--conformance" => conformance_budget = Some(args.positive()),
+            "--all-workloads" => all = true,
+            "--corpus" => corpus = true,
+            "--json" => json = true,
+            "--summary" => summary = true,
+            "--check" => check = true,
+            "--vulnerability" => vulnerability = true,
+            _ => args.unknown(),
         }
     }
     if !json && !summary {
@@ -288,17 +264,17 @@ fn main() {
 
     let mut workloads: Vec<Workload> = if all {
         if !abbrs.is_empty() {
-            die("--all-workloads conflicts with --workload");
+            cli::die("--all-workloads conflicts with --workload");
         }
         penny_workloads::all()
     } else if abbrs.is_empty() && !corpus {
-        die("nothing to profile: pass --workload ABBR, --all-workloads, or --corpus")
+        cli::die("nothing to profile: pass --workload ABBR, --all-workloads, or --corpus")
     } else {
         abbrs
             .iter()
             .map(|a| {
                 penny_workloads::by_abbr(a)
-                    .unwrap_or_else(|| die(&format!("unknown workload `{a}`")))
+                    .unwrap_or_else(|| cli::die(format!("unknown workload `{a}`")))
             })
             .collect()
     };
@@ -328,7 +304,7 @@ fn main() {
             let report = penny_bench::conformance::run_conformance(w.abbr, scheme, budget);
             penny_bench::obs::clear_recorder();
             if !report.failures.is_empty() {
-                die(&format!(
+                cli::die(format!(
                     "{}: {} conformance sites failed to recover under {scheme:?}",
                     w.abbr,
                     report.covered - report.recovered
@@ -362,14 +338,14 @@ fn main() {
                 }
             }
         }
-        print!("{stdout}");
+        out!("{stdout}");
     }
 
     if summary {
-        print!("{}", pass_summary(&profiles));
-        print!("{}", sim_summary(&profiles));
+        out!("{}", pass_summary(&profiles));
+        out!("{}", sim_summary(&profiles));
         if profiles.iter().any(|p| p.spans.iter().any(|s| s.kind == SpanKind::Campaign)) {
-            print!("{}", campaign_summary(&profiles));
+            out!("{}", campaign_summary(&profiles));
         }
     }
 
@@ -392,20 +368,18 @@ fn main() {
             Some(share) => {
                 eprintln!("penny-prof: pass `{pass}` share {share:.1}% <= {limit:.1}%")
             }
-            None => die(&format!("--assert-share: no spans for pass `{pass}`")),
+            None => cli::die(format!("--assert-share: no spans for pass `{pass}`")),
         }
     }
 }
 
 /// Parses `PASS:PCT` (e.g. `overwrite-prevention:35`).
-fn parse_assert_share(v: &str) -> (String, f64) {
-    let Some((pass, pct)) = v.rsplit_once(':') else {
-        die("--assert-share needs PASS:PCT");
-    };
+fn parse_assert_share(v: &str) -> Result<(String, f64), &'static str> {
+    let (pass, pct) = v.rsplit_once(':').ok_or("needs PASS:PCT")?;
     let limit: f64 = pct
         .parse()
         .ok()
         .filter(|p: &f64| p.is_finite() && *p >= 0.0)
-        .unwrap_or_else(|| die("--assert-share: PCT must be a non-negative number"));
-    (pass.to_string(), limit)
+        .ok_or("PCT must be a non-negative number")?;
+    Ok((pass.to_string(), limit))
 }

@@ -37,11 +37,11 @@
 //! keeps the store consistent whichever shard finishes last. A warm
 //! store skips every record.
 //!
-//! The command template is pluggable ([`CommandTemplate`]): tests wrap
-//! the real `penny-eval` in a crash-injecting shell script, and a
-//! deployment could substitute `ssh host penny-eval` to fan out across
-//! machines — the driver only assumes "argv in, report file + exit
-//! status out".
+//! The shard program is a path ([`run_campaign`]'s `program`): tests
+//! point it at a shell script that wraps the real `penny-eval` and
+//! injects crashes, and a deployment could point it at a script that
+//! runs `ssh host penny-eval "$@"` to fan out across machines: all a
+//! shard needs is "argv in, report file + exit status out".
 
 use std::collections::BTreeMap;
 use std::io;
@@ -91,32 +91,6 @@ pub struct CampaignSpec {
     /// Shared content-addressed recording store, forwarded to every
     /// shard as `--recording-store`.
     pub recording_store: Option<PathBuf>,
-    /// Ask each shard to write an `--obs-jsonl` span stream next to its
-    /// report (`shard_<i>.obs.jsonl`).
-    pub shard_obs: bool,
-}
-
-/// How to start a shard process. [`CommandTemplate::penny_eval`] is the
-/// local default; tests substitute wrapper scripts, deployments can
-/// substitute remote launchers.
-#[derive(Debug, Clone)]
-pub struct CommandTemplate {
-    /// Program to execute.
-    pub program: PathBuf,
-    /// Arguments prepended before the driver's own shard arguments.
-    pub args: Vec<String>,
-}
-
-impl CommandTemplate {
-    /// The `penny-eval` binary next to the currently running executable
-    /// (the layout `cargo build` produces for sibling binaries).
-    pub fn penny_eval() -> CommandTemplate {
-        let program = std::env::current_exe()
-            .ok()
-            .and_then(|p| p.parent().map(|d| d.join("penny-eval")))
-            .unwrap_or_else(|| PathBuf::from("penny-eval"));
-        CommandTemplate { program, args: Vec::new() }
-    }
 }
 
 /// Supervision result for one shard.
@@ -187,15 +161,14 @@ fn report_path(out_dir: &Path, index: u32) -> PathBuf {
     out_dir.join(format!("shard_{index}.json"))
 }
 
-/// The shard's observability stream, when `shard_obs` is on.
+/// The shard's observability stream (`--obs-jsonl`).
 fn obs_path(out_dir: &Path, index: u32) -> PathBuf {
     out_dir.join(format!("shard_{index}.obs.jsonl"))
 }
 
 /// Builds the argv for one shard attempt.
-fn shard_command(spec: &CampaignSpec, template: &CommandTemplate, index: u32) -> Command {
-    let mut cmd = Command::new(&template.program);
-    cmd.args(&template.args);
+fn shard_command(spec: &CampaignSpec, program: &Path, index: u32) -> Command {
+    let mut cmd = Command::new(program);
     cmd.arg("conformance");
     cmd.arg("--budget").arg(spec.budget.to_string());
     cmd.arg("--shard").arg(format!("{index}/{}", spec.shards));
@@ -207,9 +180,7 @@ fn shard_command(spec: &CampaignSpec, template: &CommandTemplate, index: u32) ->
     if let Some(store) = &spec.recording_store {
         cmd.arg("--recording-store").arg(store);
     }
-    if spec.shard_obs {
-        cmd.arg("--obs-jsonl").arg(obs_path(&spec.out_dir, index));
-    }
+    cmd.arg("--obs-jsonl").arg(obs_path(&spec.out_dir, index));
     cmd.stdout(Stdio::null()).stderr(Stdio::null()).stdin(Stdio::null());
     cmd
 }
@@ -299,20 +270,18 @@ fn harvest(
     }
 }
 
-/// Runs the campaign: fans out the shards, supervises them to
-/// completion, merges the survivors.
+/// Runs the campaign: fans out one `program` process per shard (the
+/// `penny-eval` binary, or a wrapper that takes its arguments),
+/// supervises them to completion, merges the survivors.
 ///
 /// # Errors
 ///
 /// Only on driver-level problems — an invalid spec, an unspawnable
-/// command, or survivors whose reports cannot merge (a
-/// [`MergeError`], which indicates template misconfiguration, e.g.
-/// shards that ran a different matrix). Shard crashes and timeouts are
-/// **not** errors: they degrade into [`HerdOutcome::partial`].
-pub fn run_campaign(
-    spec: &CampaignSpec,
-    template: &CommandTemplate,
-) -> Result<HerdOutcome, String> {
+/// program, or survivors whose reports cannot merge (a [`MergeError`],
+/// which indicates a misconfigured program, e.g. shards that ran a
+/// different matrix). Shard crashes and timeouts are **not** errors:
+/// they degrade into [`HerdOutcome::partial`].
+pub fn run_campaign(spec: &CampaignSpec, program: &Path) -> Result<HerdOutcome, String> {
     check_spec(spec)?;
     let rec = crate::obs::recorder();
     let campaign_timer = SpanTimer::start(rec.as_ref());
@@ -337,7 +306,7 @@ pub fn run_campaign(
                     // A leftover report from a previous (e.g. timed
                     // out) attempt must not satisfy this one.
                     let _ = std::fs::remove_file(report_path(&spec.out_dir, slot.index));
-                    let mut cmd = shard_command(spec, template, slot.index);
+                    let mut cmd = shard_command(spec, program, slot.index);
                     match spawn_retrying(&mut cmd) {
                         Ok(child) => {
                             eprintln!(
@@ -355,10 +324,7 @@ pub fn run_campaign(
                             // `spawn_retrying` waits out, unspawnable
                             // commands never improve with retries; fail
                             // the whole campaign loudly.
-                            return Err(format!(
-                                "spawning {}: {e}",
-                                template.program.display()
-                            ));
+                            return Err(format!("spawning {}: {e}", program.display()));
                         }
                     }
                 }

@@ -20,6 +20,7 @@
 pub mod ablation;
 pub mod cache;
 pub mod campaign;
+pub mod cli;
 pub mod conformance;
 pub mod figures;
 pub mod herd;

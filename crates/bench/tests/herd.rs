@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use penny_bench::conformance::{render_report, run_conformance};
-use penny_bench::herd::{run_campaign, CampaignSpec, CommandTemplate};
+use penny_bench::herd::{run_campaign, CampaignSpec};
 use penny_bench::SchemeId;
 use penny_obs::json;
 
@@ -67,7 +67,6 @@ fn spec(dir: &Path, budget: u64, retries: u32) -> CampaignSpec {
         backoff: Duration::from_millis(50),
         out_dir: dir.join("out"),
         recording_store: Some(dir.join("rec")),
-        shard_obs: true,
     }
 }
 
@@ -75,8 +74,8 @@ fn spec(dir: &Path, budget: u64, retries: u32) -> CampaignSpec {
 fn killed_shard_is_retried_and_the_merge_is_byte_identical() {
     let dir = scratch("retry");
     let budget = 96;
-    let template = CommandTemplate { program: crashy_eval(&dir, 1), args: Vec::new() };
-    let outcome = run_campaign(&spec(&dir, budget, 2), &template).expect("campaign");
+    let outcome =
+        run_campaign(&spec(&dir, budget, 2), &crashy_eval(&dir, 1)).expect("campaign");
 
     // The crash was absorbed: one retry, no permanent failure.
     assert!(!outcome.partial, "one crash within the retry budget must not go partial");
@@ -98,11 +97,8 @@ fn killed_shard_is_retried_and_the_merge_is_byte_identical() {
     let warm_dir = dir.join("warm");
     let mut warm = spec(&dir, budget, 0);
     warm.out_dir = warm_dir.clone();
-    let template = CommandTemplate {
-        program: PathBuf::from(env!("CARGO_BIN_EXE_penny-eval")),
-        args: Vec::new(),
-    };
-    let outcome = run_campaign(&warm, &template).expect("warm campaign");
+    let eval = Path::new(env!("CARGO_BIN_EXE_penny-eval"));
+    let outcome = run_campaign(&warm, eval).expect("warm campaign");
     assert!(!outcome.partial);
     assert_eq!(render_report(&outcome.merged[0].report), render_report(&unsharded));
     for index in 0..warm.shards {
@@ -131,8 +127,8 @@ fn exhausted_retries_degrade_to_a_labelled_partial_report() {
     let budget = 64;
     // Shard 1 crashes on every attempt (more crashes than the retry
     // budget ever allows), so it fails permanently.
-    let template = CommandTemplate { program: crashy_eval(&dir, 100), args: Vec::new() };
-    let outcome = run_campaign(&spec(&dir, budget, 1), &template).expect("campaign");
+    let outcome =
+        run_campaign(&spec(&dir, budget, 1), &crashy_eval(&dir, 100)).expect("campaign");
 
     assert!(outcome.partial, "a permanently failed shard must flag the campaign partial");
     assert_eq!(outcome.failed_shards(), vec![1], "the missing shard is named");
@@ -169,8 +165,7 @@ fn hung_shard_is_killed_by_the_timeout() {
     }
     let mut s = spec(&dir, 16, 0);
     s.timeout = Duration::from_millis(200);
-    let template = CommandTemplate { program: script, args: Vec::new() };
-    let outcome = run_campaign(&s, &template).expect("campaign");
+    let outcome = run_campaign(&s, &script).expect("campaign");
     assert_eq!(outcome.failed_shards(), vec![0, 1]);
     // With no survivors there is nothing to merge — but the campaign
     // still completes and reports itself partial via the shard list.
@@ -187,9 +182,8 @@ fn failing_sites_are_a_verdict_that_merges_not_a_crash() {
     // retried.
     let mut s = spec(&dir, budget, 2);
     s.schemes = vec![SchemeId::Baseline];
-    let eval = PathBuf::from(env!("CARGO_BIN_EXE_penny-eval"));
-    let template = CommandTemplate { program: eval.clone(), args: Vec::new() };
-    let outcome = run_campaign(&s, &template).expect("campaign");
+    let eval = Path::new(env!("CARGO_BIN_EXE_penny-eval"));
+    let outcome = run_campaign(&s, eval).expect("campaign");
     assert!(!outcome.partial, "a failed verdict is not a lost shard");
     assert!(outcome.failed_shards().is_empty());
     assert!(outcome.shards.iter().all(|s| s.attempts == 1), "nothing is retried");
@@ -203,7 +197,7 @@ fn failing_sites_are_a_verdict_that_merges_not_a_crash() {
     let status = std::process::Command::new(env!("CARGO_BIN_EXE_penny-herd"))
         .args(["--workloads", "MT", "--schemes", "Baseline", "--budget", "64"])
         .args(["--shards", "2", "--jobs", "1", "--eval"])
-        .arg(&eval)
+        .arg(eval)
         .arg("--out")
         .arg(dir.join("bin"))
         .stdout(std::process::Stdio::null())

@@ -35,19 +35,18 @@
 //!
 //! The fuzz report goes to stdout and contains no timings: two runs
 //! with identical arguments produce byte-identical output.
+//!
+//! Exit status: 0 clean; 1 a divergence or a failed corpus replay; 2 a
+//! usage error, or a mint or bank that fails.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use penny_bench::{cli, out, outln};
 use penny_fuzz::{run_fuzz, run_gauntlet, FuzzConfig};
 use penny_obs::MemRecorder;
 use penny_sim::gen::{Family, KernelSpec};
-
-fn die(msg: &str) -> ! {
-    eprintln!("penny-fuzz: {msg}");
-    std::process::exit(2);
-}
 
 struct Args {
     seed: u64,
@@ -75,44 +74,20 @@ fn parse_args() -> Args {
         from_seed: 1,
         obs: None,
     };
-    let mut args = std::env::args().skip(1);
-    let next_u64 = |args: &mut dyn Iterator<Item = String>, flag: &str| -> u64 {
-        args.next()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| die(&format!("{flag} needs an unsigned integer")))
-    };
+    let mut args = cli::Args::from_env("penny-fuzz");
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--seed" => a.seed = next_u64(&mut args, "--seed"),
-            "--iters" => a.iters = next_u64(&mut args, "--iters"),
-            "--conformance-budget" => {
-                a.conformance_budget = Some(next_u64(&mut args, "--conformance-budget"))
-            }
-            "--jobs" => {
-                a.jobs = next_u64(&mut args, "--jobs") as usize;
-                if a.jobs == 0 {
-                    die("--jobs needs a positive integer");
-                }
-            }
-            "--bank" => {
-                a.bank =
-                    Some(args.next().unwrap_or_else(|| die("--bank needs a DIR")).into())
-            }
-            "--replay" => {
-                a.replay =
-                    Some(args.next().unwrap_or_else(|| die("--replay needs a DIR")).into())
-            }
-            "--mint-sparse" => a.mint_sparse = Some(next_u64(&mut args, "--mint-sparse")),
-            "--mint-spec" => {
-                a.mint_spec =
-                    Some(args.next().unwrap_or_else(|| die("--mint-spec needs a SPEC")))
-            }
-            "--from-seed" => a.from_seed = next_u64(&mut args, "--from-seed"),
-            "--obs" => {
-                a.obs =
-                    Some(args.next().unwrap_or_else(|| die("--obs needs a FILE")).into())
-            }
-            other => die(&format!("unknown argument `{other}`")),
+            "--seed" => a.seed = args.integer(),
+            "--iters" => a.iters = args.integer(),
+            "--conformance-budget" => a.conformance_budget = Some(args.integer()),
+            "--jobs" => a.jobs = args.positive(),
+            "--bank" => a.bank = Some(args.value().into()),
+            "--replay" => a.replay = Some(args.value().into()),
+            "--mint-sparse" => a.mint_sparse = Some(args.integer()),
+            "--mint-spec" => a.mint_spec = Some(args.value()),
+            "--from-seed" => a.from_seed = args.integer(),
+            "--obs" => a.obs = Some(args.value().into()),
+            _ => args.unknown(),
         }
     }
     a
@@ -124,21 +99,21 @@ fn dump_obs(rec: &MemRecorder, path: &PathBuf) {
     for span in rec.snapshot() {
         let line = span.to_jsonl();
         penny_obs::schema::validate_line(&line)
-            .unwrap_or_else(|e| die(&format!("obs span failed schema check: {e}")));
+            .unwrap_or_else(|e| cli::die(format!("obs span failed schema check: {e}")));
         out.push_str(&line);
         out.push('\n');
     }
     std::fs::write(path, out)
-        .unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
+        .unwrap_or_else(|e| cli::die(format!("writing {}: {e}", path.display())));
 }
 
 fn main() -> ExitCode {
     let a = parse_args();
     penny_bench::set_jobs(a.jobs);
-    // The gauntlet *expects* panics: overwrite-prevention rejections
-    // surface as catch_unwind'd compile skips, and real divergent
-    // panics are captured into the report with their payload text.
-    // Keep stderr quiet instead of printing a backtrace per skip.
+    // The gauntlet catches a stage's panic (a compiler, engine or
+    // harness bug) and reports it as a divergence with its payload
+    // text; keep stderr free of a backtrace per caught panic. A panic
+    // outside the gauntlet still exits 101.
     std::panic::set_hook(Box::new(|_| {}));
 
     let obs_rec = a.obs.as_ref().map(|_| Arc::new(MemRecorder::new()));
@@ -157,14 +132,14 @@ fn main() -> ExitCode {
         let budget = a.conformance_budget.unwrap_or(2048);
         match penny_fuzz::replay_dir(dir, budget) {
             Ok(n) => {
-                println!("corpus replay: {n} entries verified ({})", dir.display());
+                outln!("corpus replay: {n} entries verified ({})", dir.display());
                 finish_obs(&obs_rec);
                 return ExitCode::SUCCESS;
             }
             Err(errors) => {
-                println!("corpus replay: {} failure(s)", errors.len());
+                outln!("corpus replay: {} failure(s)", errors.len());
                 for e in &errors {
-                    println!("  {e}");
+                    outln!("  {e}");
                 }
                 finish_obs(&obs_rec);
                 return ExitCode::FAILURE;
@@ -174,33 +149,35 @@ fn main() -> ExitCode {
 
     // Mint a single hand-picked spec.
     if let Some(spec_line) = &a.mint_spec {
-        let dir = a.bank.clone().unwrap_or_else(|| die("--mint-spec needs --bank DIR"));
+        let dir =
+            a.bank.clone().unwrap_or_else(|| cli::die("--mint-spec needs --bank DIR"));
         let spec = KernelSpec::parse(spec_line)
-            .unwrap_or_else(|| die(&format!("unparseable spec `{spec_line}`")));
+            .unwrap_or_else(|| cli::die(format!("unparseable spec `{spec_line}`")));
         let cfg = FuzzConfig {
             conformance_budget: a.conformance_budget.unwrap_or(2048),
             ..FuzzConfig::new(0, 0)
         };
         let outcome = run_gauntlet(&spec, &cfg);
         if let Some((kind, scheme, detail)) = &outcome.failure {
-            die(&format!(
+            cli::die(format!(
                 "spec fails the gauntlet [{}{}]: {detail}",
                 kind.tag(),
                 scheme.map(|s| format!(" under {s}")).unwrap_or_default()
             ));
         }
         if !outcome.all_schemes_compiled {
-            die("spec is skipped by at least one scheme; pick another");
+            cli::die("spec is skipped by at least one scheme; pick another");
         }
-        let path = penny_fuzz::bank_spec(&spec, &dir).unwrap_or_else(|e| die(&e));
-        println!("minted {} -> {}", spec.render(), path.display());
+        let path = penny_fuzz::bank_spec(&spec, &dir).unwrap_or_else(|e| cli::die(e));
+        outln!("minted {} -> {}", spec.render(), path.display());
         finish_obs(&obs_rec);
         return ExitCode::SUCCESS;
     }
 
     // Mint mode: scan seeds for bankable sparse kernels.
     if let Some(count) = a.mint_sparse {
-        let dir = a.bank.clone().unwrap_or_else(|| die("--mint-sparse needs --bank DIR"));
+        let dir =
+            a.bank.clone().unwrap_or_else(|| cli::die("--mint-sparse needs --bank DIR"));
         let budget = a.conformance_budget.unwrap_or(2048);
         let cfg =
             FuzzConfig { conformance_budget: budget, ..FuzzConfig::new(a.from_seed, 0) };
@@ -216,8 +193,8 @@ fn main() -> ExitCode {
             if outcome.failure.is_some() || !outcome.all_schemes_compiled {
                 continue;
             }
-            let path = penny_fuzz::bank_spec(&spec, &dir).unwrap_or_else(|e| die(&e));
-            println!("minted {} -> {}", spec.render(), path.display());
+            let path = penny_fuzz::bank_spec(&spec, &dir).unwrap_or_else(|e| cli::die(e));
+            outln!("minted {} -> {}", spec.render(), path.display());
             minted += 1;
         }
         finish_obs(&obs_rec);
@@ -226,18 +203,18 @@ fn main() -> ExitCode {
 
     // Fuzz mode.
     if a.iters == 0 {
-        die("nothing to do: pass --iters K, --replay DIR, or --mint-sparse COUNT");
+        cli::die("nothing to do: pass --iters K, --replay DIR, or --mint-sparse COUNT");
     }
     let mut cfg = FuzzConfig::new(a.seed, a.iters);
     if let Some(budget) = a.conformance_budget {
         cfg.conformance_budget = budget;
     }
     let report = run_fuzz(&cfg);
-    print!("{}", report.render());
+    out!("{}", report.render());
     if let Some(dir) = &a.bank {
         for d in &report.divergences {
             match penny_fuzz::bank_spec(&d.shrunk, dir) {
-                Ok(path) => println!("banked {} -> {}", d.shrunk.render(), path.display()),
+                Ok(path) => outln!("banked {} -> {}", d.shrunk.render(), path.display()),
                 Err(e) => eprintln!("penny-fuzz: banking failed: {e}"),
             }
         }

@@ -42,10 +42,23 @@ use penny_analysis::{lint_kernel, LintOptions, Severity};
 use penny_bench::conformance::{run_conformance_static_for, ConformanceReport, StaticMode};
 use penny_bench::SchemeId;
 use penny_core::Protected;
+use penny_ir::Kernel;
 use penny_sim::gen::{self, splitmix64, KernelSpec};
 use penny_sim::{GlobalMemory, GpuConfig, RunStats};
 use penny_workloads::corpus::CorpusEntry;
 use penny_workloads::{user_words, Setup, Source, Suite, Verify, Workload};
+
+/// Protected schemes the differential and cross-scheme stages exercise.
+const SCHEMES: [SchemeId; 4] =
+    [SchemeId::IGpu, SchemeId::BoltGlobal, SchemeId::BoltAuto, SchemeId::Penny];
+
+/// The scheme the conformance stage sweeps: a recoverable one (an
+/// unprotected run legitimately corrupts), and one of [`SCHEMES`], so
+/// stage 3b has compiled it.
+const CONFORMANCE_SCHEME: SchemeId = SchemeId::Penny;
+
+/// Fault plans injected per compiled scheme in the differential stage.
+const FAULT_PLANS: u64 = 2;
 
 /// Fuzzing-run configuration.
 #[derive(Debug, Clone)]
@@ -54,36 +67,15 @@ pub struct FuzzConfig {
     pub seed: u64,
     /// Number of kernels to generate.
     pub iters: u64,
-    /// Protected schemes exercised by the differential and
-    /// cross-scheme stages.
-    pub schemes: Vec<SchemeId>,
-    /// Schemes swept by the conformance stage (recoverable schemes
-    /// only — unprotected runs legitimately corrupt).
-    pub conformance_schemes: Vec<SchemeId>,
     /// Fault-site budget per conformance sweep (0 disables the stage).
     pub conformance_budget: u64,
-    /// Fault plans injected per compiled scheme in the differential
-    /// stage.
-    pub fault_plans: u64,
 }
 
 impl FuzzConfig {
     /// The default gauntlet: all four protected schemes
     /// differentially, Penny conformance with a small site budget.
     pub fn new(seed: u64, iters: u64) -> FuzzConfig {
-        FuzzConfig {
-            seed,
-            iters,
-            schemes: vec![
-                SchemeId::IGpu,
-                SchemeId::BoltGlobal,
-                SchemeId::BoltAuto,
-                SchemeId::Penny,
-            ],
-            conformance_schemes: vec![SchemeId::Penny],
-            conformance_budget: 24,
-            fault_plans: 2,
-        }
+        FuzzConfig { seed, iters, conformance_budget: 24 }
     }
 }
 
@@ -294,6 +286,18 @@ pub fn spec_workload(spec: &KernelSpec, golden: Vec<(u32, u32)>) -> Workload {
 /// Runs one spec through the whole gauntlet. Never panics: stage
 /// panics are caught and reported as [`DivergenceKind::Engine`].
 pub fn run_gauntlet(spec: &KernelSpec, cfg: &FuzzConfig) -> GauntletOutcome {
+    gauntlet(spec, cfg, &|kernel, scheme| {
+        gen::try_compile(kernel, gauntlet_config(scheme, spec))
+    })
+}
+
+/// [`run_gauntlet`] with the protected schemes' compiler as a
+/// parameter (`None` is a rejection), so a test can make it panic.
+fn gauntlet(
+    spec: &KernelSpec,
+    cfg: &FuzzConfig,
+    compile: &dyn Fn(&Kernel, SchemeId) -> Option<Protected>,
+) -> GauntletOutcome {
     let mut out = GauntletOutcome {
         counts: StageCounts { generated: 1, ..StageCounts::default() },
         failure: None,
@@ -393,18 +397,24 @@ pub fn run_gauntlet(spec: &KernelSpec, cfg: &FuzzConfig) -> GauntletOutcome {
     // Stages 3b/4b/5 — protected schemes: compile (skips tolerated),
     // differential fault-free + under fault plans, output vs golden.
     let mut skipped = Vec::new();
-    for &scheme in &cfg.schemes {
+    for scheme in SCHEMES {
         out.counts.compiles += 1;
-        let Some(protected) = gen::try_compile(&kernel, gauntlet_config(scheme, spec))
-        else {
-            out.counts.compile_skips += 1;
-            out.all_schemes_compiled = false;
-            skipped.push(scheme);
-            continue;
+        let protected = match catch_unwind(AssertUnwindSafe(|| compile(&kernel, scheme))) {
+            Ok(Some(p)) => p,
+            Ok(None) => {
+                out.counts.compile_skips += 1;
+                out.all_schemes_compiled = false;
+                skipped.push(scheme);
+                continue;
+            }
+            Err(p) => {
+                fail(&mut out, DivergenceKind::Engine, Some(scheme.name()), panic_text(p));
+                return out;
+            }
         };
         let regs = protected.kernel.vreg_limit().max(1);
         let mut plans = vec![penny_sim::FaultPlan::none()];
-        for p in 0..cfg.fault_plans {
+        for p in 0..FAULT_PLANS {
             plans.push(faults_of(0xF417 + p, regs));
         }
         for (pi, plan) in plans.iter().enumerate() {
@@ -441,50 +451,31 @@ pub fn run_gauntlet(spec: &KernelSpec, cfg: &FuzzConfig) -> GauntletOutcome {
         }
     }
 
-    // Stage 6 — budgeted snapshot/replay conformance sweeps in
+    // Stage 6 — a budgeted snapshot/replay conformance sweep in
     // validate mode: same replays, plus a static-vs-dynamic agreement
     // cross-examination of every compile-time site classification.
-    if cfg.conformance_budget > 0 && !cfg.conformance_schemes.is_empty() {
+    let scheme = CONFORMANCE_SCHEME;
+    if cfg.conformance_budget > 0 && !skipped.contains(&scheme) {
         let workload = spec_workload(spec, golden);
-        for &scheme in &cfg.conformance_schemes {
-            // Stage 3b compiled (and counted) every listed scheme; only
-            // an unlisted one is compiled here.
-            if skipped.contains(&scheme)
-                || (!cfg.schemes.contains(&scheme)
-                    && gen::try_compile(&kernel, gauntlet_config(scheme, spec)).is_none())
-            {
-                continue;
-            }
-            let budget = cfg.conformance_budget;
-            let report = match catch_unwind(AssertUnwindSafe(|| {
-                run_conformance_static_for(&workload, scheme, budget, StaticMode::Validate)
-            })) {
-                Ok(r) => r,
-                Err(p) => {
-                    fail(
-                        &mut out,
-                        DivergenceKind::Engine,
-                        Some(scheme.name()),
-                        panic_text(p),
-                    );
-                    return out;
-                }
-            };
-            out.counts.conformance_sites += report.covered;
-            out.counts.static_claims += report.static_checked;
-            if let Some(detail) = conformance_failure(&report) {
-                fail(&mut out, DivergenceKind::Conformance, Some(scheme.name()), detail);
+        let budget = cfg.conformance_budget;
+        let report = match catch_unwind(AssertUnwindSafe(|| {
+            run_conformance_static_for(&workload, scheme, budget, StaticMode::Validate)
+        })) {
+            Ok(r) => r,
+            Err(p) => {
+                fail(&mut out, DivergenceKind::Engine, Some(scheme.name()), panic_text(p));
                 return out;
             }
-            if let Some(detail) = static_disagreement(&report) {
-                fail(
-                    &mut out,
-                    DivergenceKind::StaticAgreement,
-                    Some(scheme.name()),
-                    detail,
-                );
-                return out;
-            }
+        };
+        out.counts.conformance_sites += report.covered;
+        out.counts.static_claims += report.static_checked;
+        if let Some(detail) = conformance_failure(&report) {
+            fail(&mut out, DivergenceKind::Conformance, Some(scheme.name()), detail);
+            return out;
+        }
+        if let Some(detail) = static_disagreement(&report) {
+            fail(&mut out, DivergenceKind::StaticAgreement, Some(scheme.name()), detail);
+            return out;
         }
     }
 
@@ -839,6 +830,26 @@ mod tests {
             assert_eq!(out.counts.lint_clean, 1);
             assert!(out.golden.is_some());
         }
+    }
+
+    /// A protected-scheme compiler panic is a divergence that names the
+    /// scheme, not a crash of the whole run.
+    #[test]
+    fn a_compiler_panic_is_an_engine_divergence() {
+        let cfg = FuzzConfig { conformance_budget: 0, ..FuzzConfig::new(0, 0) };
+        let spec = KernelSpec::dense(vec![0, 5], true);
+        let out = gauntlet(&spec, &cfg, &|kernel, scheme| {
+            if scheme == SchemeId::BoltAuto {
+                panic!("compiler bug");
+            }
+            gen::try_compile(kernel, gauntlet_config(scheme, &spec))
+        });
+        let (kind, scheme, detail) = out.failure.expect("the panic is a divergence");
+        assert_eq!(
+            (kind, scheme),
+            (DivergenceKind::Engine, Some(SchemeId::BoltAuto.name()))
+        );
+        assert_eq!(detail, "panic: compiler bug");
     }
 
     #[test]

@@ -152,10 +152,7 @@ impl KernelSpec {
     pub fn build(&self) -> Kernel {
         match self.family {
             Family::Dense => build_kernel(&self.ops, self.barrier),
-            Family::Sparse => build_sparse_kernel(
-                &self.ops,
-                &CsrTopo::generate(self.topo_seed, self.max_row_nnz),
-            ),
+            Family::Sparse => build_sparse_kernel(&self.ops),
         }
     }
 
@@ -425,9 +422,10 @@ pub fn build_kernel(ops: &[u8], with_barrier: bool) -> Kernel {
 /// data-dependent histogram bucket.
 ///
 /// Parameters: `RP` (row pointers), `CI` (column indices), `XV`
-/// (input vector), `Y` (row output), `H` (16-bucket histogram).
-pub fn build_sparse_kernel(ops: &[u8], topo: &CsrTopo) -> Kernel {
-    let _ = topo; // topology shapes inputs, not code; kept for signature symmetry
+/// (input vector), `Y` (row output), `H` (16-bucket histogram). The
+/// topology ([`CsrTopo`]) shapes only the input image
+/// ([`KernelSpec::image`]), not the code.
+pub fn build_sparse_kernel(ops: &[u8]) -> Kernel {
     let mut b = KernelBuilder::new("csrgen", &["RP", "CI", "XV", "Y", "H"]);
     b.block("entry");
     let tid = b.special(Special::TidX);

@@ -7,7 +7,10 @@
 #   2. the kernel sanitizer (penny-lint) over all 25 workloads,
 #      warnings denied — the evaluation suite must stay lint-clean;
 #   3. release build of the whole workspace;
-#   4. the root-package test suite (the tier-1 gate);
+#   4. the root-package test suite (the tier-1 gate), the `penny` CLI
+#      included: usage errors exit 2 before any output, both flag
+#      forms, a closed stdout stops it quietly, and `--inject` names
+#      the register number `penny compile --emit` prints;
 #   4b. the analysis suites: the penny-ir, penny-analysis, penny-core
 #      and penny-workloads tests (the dataflow solver, the verifier and
 #      sanitizer sharing one must-defined analysis, the protection
@@ -47,10 +50,16 @@
 #      exhaustive MT reports, and the work gate: a forked MT or SGEMM
 #      sweep under Penny re-simulates at least 20x fewer warp
 #      instructions than a cold harness, recording included), the
-#      penny-eval command-line suite (unknown targets and flags exit 2
-#      before any output; a sharded `--budget all` sweep answers its
-#      own positions), and a sharded exhaustive sweep of MT, STC, FW
-#      and BS (each shard answers exactly the positions it owns);
+#      command-line suite of penny-eval, penny-herd, penny-lint and
+#      penny-prof (unknown targets and flags and every other usage
+#      error exit 2 with the tool's prefix before any output, among
+#      them `penny-herd --budget 0` before any shard spawns; both flag
+#      forms read the same value; a closed stdout stops each tool
+#      quietly with status 0; a sharded `--budget all` sweep answers
+#      its own positions, and `penny-herd --budget all` merges to a
+#      report that skips nothing), and a sharded exhaustive sweep of
+#      MT, STC, FW and BS (each shard answers exactly the positions it
+#      owns);
 #   6b. the penny-herd orchestration gate: the supervised-shard test
 #      suite (crash-injected retry, partial degradation, timeout
 #      kill, failed sites merged as a verdict rather than retried) and the recording-store suite (a damaged stored recording
@@ -92,7 +101,8 @@
 #      or under 35% of total pass time (best of three runs — wall
 #      times are noisy) via penny-prof --assert-share;
 #   9. the fuzz gate: the penny-fuzz unit/integration suites (shrinker
-#      properties, corpus replay as a test), a fixed-seed smoke run
+#      properties, corpus replay as a test, a compiler panic caught as
+#      a divergence, the command line), a fixed-seed smoke run
 #      that must find zero
 #      divergences and produce byte-identical reports across two runs,
 #      and the banked-corpus replay gate (every committed kernel
@@ -142,7 +152,7 @@ cargo test -q -p penny-bench conformance
 echo "==> conformance: integration suite (shard merges, pinned reports, work gate)"
 cargo test --release -p penny-bench --test conformance
 
-echo "==> conformance: penny-eval command line (target checks, sharded sweep)"
+echo "==> command lines: penny-eval, penny-herd, penny-lint, penny-prof"
 cargo test --release -p penny-bench --test eval_cli
 
 echo "==> conformance: a sharded exhaustive sweep answers its own positions"

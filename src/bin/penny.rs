@@ -13,16 +13,28 @@
 //! which picks both the compiler configuration and the register-file
 //! protection `run` simulates. `run` zero-fills device memory; use
 //! `--fill ADDR LEN SEED` to place deterministic pseudo-random inputs,
-//! `--dump ADDR LEN` to print memory after the launch.
+//! `--dump ADDR LEN` to print memory after the launch. `--inject`'s REG
+//! is the register number `penny compile --emit` prints: the parser
+//! numbers registers in order of first appearance, so `%r5` in the file
+//! may be `%r1` in the kernel.
+//!
+//! Exit status: 0 success; 1 the file cannot be read, parsed, verified,
+//! compiled or run; 2 a usage error.
 
 use std::process::ExitCode;
 
 use penny::compiler::{compile, LaunchDims};
-use penny::eval::SchemeId;
+use penny::eval::{cli, outln, SchemeId};
 use penny::sim::{FaultPlan, Gpu, GpuConfig, Injection, LaunchConfig};
 
+enum Command {
+    Check,
+    Compile,
+    Run,
+}
+
 struct Args {
-    command: String,
+    command: Command,
     file: String,
     scheme: SchemeId,
     grid: u32,
@@ -34,12 +46,11 @@ struct Args {
     injections: Vec<Injection>,
 }
 
-fn usage() -> &'static str {
-    "usage: penny <compile|run|check> <file.ptx> \
+const USAGE: &str = "usage: penny <compile|run|check> <file.ptx> \
      [--scheme Baseline|IGpu|BoltGlobal|BoltAuto|Penny] [--grid N] [--block N] \
      [--emit] [--param V]... [--fill ADDR LEN SEED]... [--dump ADDR LEN]... \
-     [--inject BLOCK,WARP,LANE,REG,BIT,AFTER]..."
-}
+     [--inject BLOCK,WARP,LANE,REG,BIT,AFTER]... \
+     (REG: the register number `penny compile --emit` prints)";
 
 fn parse_u32(s: &str) -> Result<u32, String> {
     let s = s.trim();
@@ -50,13 +61,21 @@ fn parse_u32(s: &str) -> Result<u32, String> {
     }
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut it = std::env::args().skip(1);
-    let command = it.next().ok_or_else(|| usage().to_string())?;
-    let file = it.next().ok_or_else(|| usage().to_string())?;
+/// `BLOCK,WARP,LANE,REG,BIT,AFTER`.
+fn parse_injection(spec: &str) -> Result<Injection, String> {
+    let parts: Vec<u32> = spec.split(',').map(parse_u32).collect::<Result<_, _>>()?;
+    let [block, warp, lane, reg, bit, after] = parts[..] else {
+        return Err(format!("wants 6 fields, got {}", parts.len()));
+    };
+    Ok(Injection { block, warp, lane, reg, bit, after_warp_insts: u64::from(after) })
+}
+
+fn parse_args() -> Args {
+    let mut argv = cli::Args::from_env("penny");
+    let mut positional = Vec::new();
     let mut args = Args {
-        command,
-        file,
+        command: Command::Check,
+        file: String::new(),
         scheme: SchemeId::Penny,
         grid: 4,
         block: 32,
@@ -66,54 +85,39 @@ fn parse_args() -> Result<Args, String> {
         dumps: Vec::new(),
         injections: Vec::new(),
     };
-    while let Some(flag) = it.next() {
-        let mut next = || it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
-            "--scheme" => {
-                let token = next()?;
-                args.scheme = SchemeId::from_token(&token)
-                    .ok_or_else(|| SchemeId::unknown_token(&token))?;
-            }
-            "--grid" => args.grid = parse_u32(&next()?)?,
-            "--block" => args.block = parse_u32(&next()?)?,
+    while let Some(a) = argv.next() {
+        match a.as_str() {
+            "--scheme" => args.scheme = argv.scheme(),
+            "--grid" => args.grid = argv.parse(parse_u32),
+            "--block" => args.block = argv.parse(parse_u32),
             "--emit" => args.emit = true,
-            "--param" => args.params.push(parse_u32(&next()?)?),
-            "--fill" => {
-                let (a, l, s) =
-                    (parse_u32(&next()?)?, parse_u32(&next()?)?, parse_u32(&next()?)?);
-                args.fills.push((a, l, s));
-            }
-            "--dump" => {
-                let (a, l) = (parse_u32(&next()?)?, parse_u32(&next()?)?);
-                args.dumps.push((a, l));
-            }
-            "--inject" => {
-                let spec = next()?;
-                let parts: Vec<u32> = spec
-                    .split(',')
-                    .map(parse_u32)
-                    .collect::<Result<_, _>>()
-                    .map_err(|e| format!("--inject {spec}: {e}"))?;
-                if parts.len() != 6 {
-                    return Err(format!("--inject wants 6 fields, got {}", parts.len()));
-                }
-                args.injections.push(Injection {
-                    block: parts[0],
-                    warp: parts[1],
-                    lane: parts[2],
-                    reg: parts[3],
-                    bit: parts[4],
-                    after_warp_insts: parts[5] as u64,
-                });
-            }
-            other => return Err(format!("unknown flag `{other}`\n{}", usage())),
+            "--param" => args.params.push(argv.parse(parse_u32)),
+            "--fill" => args.fills.push((
+                argv.parse(parse_u32),
+                argv.parse(parse_u32),
+                argv.parse(parse_u32),
+            )),
+            "--dump" => args.dumps.push((argv.parse(parse_u32), argv.parse(parse_u32))),
+            "--inject" => args.injections.push(argv.parse(parse_injection)),
+            _ if a.starts_with('-') => cli::die(format!("unknown flag `{a}`\n{USAGE}")),
+            _ => positional.push(a),
         }
     }
-    Ok(args)
+    let [command, file] =
+        <[String; 2]>::try_from(positional).unwrap_or_else(|_| cli::die(USAGE));
+    args.command = match command.as_str() {
+        "check" => Command::Check,
+        "compile" => Command::Compile,
+        "run" => Command::Run,
+        other => cli::die(format!("unknown command `{other}`\n{USAGE}")),
+    };
+    args.file = file;
+    args
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let args = parse_args();
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("penny: {e}");
@@ -122,17 +126,16 @@ fn main() -> ExitCode {
     }
 }
 
-fn run() -> Result<(), String> {
-    let args = parse_args()?;
+fn run(args: &Args) -> Result<(), String> {
     let text =
         std::fs::read_to_string(&args.file).map_err(|e| format!("{}: {e}", args.file))?;
     let kernel =
         penny::ir::parse_kernel(&text).map_err(|e| format!("{}: {e}", args.file))?;
     penny::ir::validate(&kernel).map_err(|e| format!("{}: {e}", args.file))?;
 
-    match args.command.as_str() {
-        "check" => {
-            println!(
+    match args.command {
+        Command::Check => {
+            outln!(
                 "{}: ok ({} blocks, {} instructions, {} params)",
                 kernel.name,
                 kernel.num_blocks(),
@@ -141,35 +144,38 @@ fn run() -> Result<(), String> {
             );
             Ok(())
         }
-        "compile" => {
+        Command::Compile => {
             let dims = LaunchDims::linear(args.grid, args.block);
             let cfg = args.scheme.config().with_launch(dims);
             let protected = compile(&kernel, &cfg).map_err(|e| e.to_string())?;
             let s = &protected.stats;
-            println!("scheme: {}", args.scheme.token());
-            println!("regions:            {}", s.regions);
-            println!(
+            outln!("scheme: {}", args.scheme.token());
+            outln!("regions:            {}", s.regions);
+            outln!(
                 "checkpoints:        {} considered, {} committed",
-                s.total_checkpoints, s.committed
+                s.total_checkpoints,
+                s.committed
             );
-            println!("  pruned (basic):   {}", s.pruned_basic);
-            println!("  pruned (optimal): +{}", s.pruned_additional);
-            println!(
+            outln!("  pruned (basic):   {}", s.pruned_basic);
+            outln!("  pruned (optimal): +{}", s.pruned_additional);
+            outln!(
                 "overwrite-prone:    {} regs, {} adjustment blocks",
-                s.overwrite_prone_regs, s.adjustment_blocks
+                s.overwrite_prone_regs,
+                s.adjustment_blocks
             );
-            println!("regs/thread:        {}", s.regs_per_thread);
-            println!(
+            outln!("regs/thread:        {}", s.regs_per_thread);
+            outln!(
                 "ckpt storage:       {} B shared, {} global slots",
-                s.ckpt_shared_bytes, s.ckpt_global_slots
+                s.ckpt_shared_bytes,
+                s.ckpt_global_slots
             );
-            println!("est. occupancy:     {:.0}%", s.occupancy * 100.0);
+            outln!("est. occupancy:     {:.0}%", s.occupancy * 100.0);
             if args.emit {
-                println!("\n{}", protected.kernel);
+                outln!("\n{}", protected.kernel);
             }
             Ok(())
         }
-        "run" => {
+        Command::Run => {
             let dims = LaunchDims::linear(args.grid, args.block);
             let cfg = args.scheme.config().with_launch(dims);
             let protected = compile(&kernel, &cfg).map_err(|e| e.to_string())?;
@@ -195,20 +201,16 @@ fn run() -> Result<(), String> {
             let launch = LaunchConfig::new(dims, args.params.clone())
                 .with_faults(FaultPlan { injections: args.injections.clone() });
             let stats = gpu.run(&protected, &launch).map_err(|e| e.to_string())?;
-            println!("cycles:          {}", stats.cycles);
-            println!("instructions:    {}", stats.instructions);
-            println!(
-                "rf accesses:     {} reads, {} writes",
-                stats.rf.reads, stats.rf.writes
-            );
-            println!("errors detected: {}", stats.rf.detected);
-            println!("recoveries:      {}", stats.recoveries);
+            outln!("cycles:          {}", stats.cycles);
+            outln!("instructions:    {}", stats.instructions);
+            outln!("rf accesses:     {} reads, {} writes", stats.rf.reads, stats.rf.writes);
+            outln!("errors detected: {}", stats.rf.detected);
+            outln!("recoveries:      {}", stats.recoveries);
             for &(addr, len) in &args.dumps {
                 let words = gpu.global().read_slice(addr, len as usize);
-                println!("[0x{addr:08X}..+{len}] = {words:?}");
+                outln!("[0x{addr:08X}..+{len}] = {words:?}");
             }
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
     }
 }

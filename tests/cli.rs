@@ -1,9 +1,11 @@
 //! The `penny` command-line front end, driven as a process: `check`,
-//! `compile` and `run` on a small kernel, scheme tokens, and a fault
-//! injected into a register the kernel reads.
+//! `compile` and `run` on a small kernel, scheme tokens, a fault
+//! injected into a register the kernel reads (named by the number
+//! `compile --emit` prints), usage errors, both flag forms, and a
+//! closed stdout.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 /// Each thread increments its own word of `A`.
 const KERNEL: &str = "\
@@ -97,4 +99,113 @@ fn an_injected_fault_is_recovered_to_the_fault_free_output() {
     assert!(faulty.status.success(), "faulty run: {faulty:?}");
     assert!(recoveries(&faulty) >= 1, "{}", stdout(&faulty));
     assert_eq!(dump_line(&faulty), dump_line(&clean));
+}
+
+/// `--inject`'s REG is the register number `compile --emit` prints. The
+/// parser numbers registers in order of first appearance, so the
+/// source's load address `%r2` is another register in the compiled
+/// kernel: read it off the emitted load and inject there, right after
+/// the instruction that computes it.
+#[test]
+fn inject_takes_the_register_number_compile_emit_prints() {
+    let file = kernel_file("emit_reg");
+    let file = file.to_str().expect("utf-8 path");
+    let out = penny(&["compile", file, "--scheme", "Penny", "--emit"]);
+    assert!(out.status.success(), "compile: {out:?}");
+    let text = stdout(&out);
+    // The compiled kernel is one block; region markers are not
+    // instructions.
+    let insts: Vec<&str> = text
+        .lines()
+        .map(str::trim)
+        .skip_while(|l| !l.starts_with(".kernel"))
+        .filter(|l| l.contains(' ') && !l.starts_with('.') && !l.starts_with("region"))
+        .collect();
+    let load =
+        insts.iter().position(|l| l.starts_with("ld.global")).expect("a global load");
+    let addr = insts[load]
+        .split('[')
+        .nth(1)
+        .and_then(|a| a.strip_suffix(']'))
+        .expect("a `[%rN]` address");
+    assert!(insts[load - 1].starts_with(&format!("mad.u32 {addr},")), "{text}");
+    let reg: u32 =
+        addr.strip_prefix("%r").expect("a %r register").parse().expect("a number");
+    assert_ne!(reg, 2, "the source's register numbers carried over:\n{text}");
+
+    let clean = run(file, &[]);
+    let inject = format!("0,0,3,{reg},5,{load}");
+    let faulty = run(file, &["--inject", &inject]);
+    assert!(faulty.status.success(), "faulty run: {faulty:?}");
+    assert!(recoveries(&faulty) >= 1, "{}", stdout(&faulty));
+    assert_eq!(dump_line(&faulty), dump_line(&clean));
+}
+
+#[test]
+fn both_flag_forms_give_the_same_output() {
+    let file = kernel_file("forms");
+    let file = file.to_str().expect("utf-8 path");
+    let spaced = penny(&["compile", file, "--scheme", "Baseline", "--grid", "2", "--emit"]);
+    let joined = penny(&["compile", file, "--scheme=Baseline", "--grid=2", "--emit"]);
+    assert!(spaced.status.success(), "{spaced:?}");
+    assert_eq!(spaced.stdout, joined.stdout);
+    let spaced = run(file, &["--inject", "0,0,3,2,5,6"]);
+    let joined = run(file, &["--inject=0,0,3,2,5,6"]);
+    assert!(spaced.status.success(), "{spaced:?}");
+    assert_eq!(spaced.stdout, joined.stdout);
+}
+
+/// A usage error exits 2 with `penny: ` on stderr and nothing on
+/// stdout; a file that cannot be read is still a failure (1).
+#[test]
+fn usage_errors_exit_2_and_failures_exit_1() {
+    let file = kernel_file("usage");
+    let file = file.to_str().expect("utf-8 path");
+    let cases: &[&[&str]] = &[
+        &[],
+        &["compile"],
+        &["bogus", file],
+        &["compile", file, "extra"],
+        &["compile", file, "--scheme", "penny"],
+        &["compile", file, "--grid"],
+        &["compile", file, "--grid", "x"],
+        &["compile", file, "--emit=1"],
+        &["compile", file, "--bogus"],
+        &["run", file, "--inject", "0,0,3,2"],
+        &["run", file, "--dump", "0x1000"],
+    ];
+    for &args in cases {
+        let out = penny(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} printed before failing");
+        assert!(err.starts_with("penny: "), "{args:?}: {err}");
+    }
+    let missing = format!("{file}.missing");
+    let out = penny(&["check", &missing]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+}
+
+/// `compile` compiles before it prints, so it meets the closed pipe on
+/// its first write: it must stop there with status 0 and no panic.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    let file = kernel_file("closed");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_penny"))
+        .args([
+            "compile",
+            file.to_str().expect("utf-8 path"),
+            "--scheme",
+            "Penny",
+            "--emit",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn penny");
+    drop(child.stdout.take());
+    let done = child.wait_with_output().expect("wait for penny");
+    let err = String::from_utf8_lossy(&done.stderr);
+    assert_eq!(done.status.code(), Some(0), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
 }
